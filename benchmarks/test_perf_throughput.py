@@ -510,8 +510,8 @@ def test_pipeline_streaming_memory(pipeline_trace):
     tracemalloc.stop()
 
     tracemalloc.start()
-    IOCov(mount_point="/mnt/test").consume_stream(
-        LttngParser().iter_parse_file(pipeline_trace), chunk_size=4096
+    IOCov(mount_point="/mnt/test").consume(
+        LttngParser().iter_parse_file(pipeline_trace)
     )
     _, streaming_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -520,7 +520,6 @@ def test_pipeline_streaming_memory(pipeline_trace):
         "streaming_memory",
         {
             "events": 200_000,
-            "chunk_size": 4096,
             "materialized_peak_bytes": eager_peak,
             "streaming_peak_bytes": streaming_peak,
         },

@@ -19,12 +19,18 @@ Typical use::
 The only per-tester setting is the mount-point regex, exactly as the
 paper claims for the prototype.
 
+Every ingest path ends in one counting loop over row tuples
+``(name, args, retval, errno, pid, comm, timestamp)``: the batch
+parsers and the ``.rbt`` decoder produce rows directly, and
+:meth:`IOCov.consume` adapts :class:`SyscallEvent` objects to rows at
+the edge.
+
 Two properties matter for scale (see :mod:`repro.parallel`):
 
-* **streaming** — :meth:`IOCov.consume` pulls from any iterable, and
-  the ``consume_*_file`` readers feed it a parser *generator*, so a
-  multi-GB trace never materializes in memory; :meth:`consume_stream`
-  adds chunked progress reporting on top.
+* **streaming** — :meth:`IOCov.consume` pulls from any iterable (a
+  parser generator such as ``LttngParser().iter_parse_file(path)``
+  works), and the ``consume_*_file`` readers parse chunk by chunk, so
+  a multi-GB trace never materializes in memory;
 * **mergeability** — :meth:`IOCov.merge` folds the state of another
   analyzer in exactly (all underlying tallies are sums), so N shards
   consumed independently combine into a result bit-identical to one
@@ -34,7 +40,6 @@ Two properties matter for scale (see :mod:`repro.parallel`):
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.argspec import BASE_SYSCALLS, SyscallSpec, TRACKED_SYSCALLS, base_name
@@ -44,13 +49,7 @@ from repro.core.output_coverage import OutputCoverage
 from repro.core.report import CoverageReport
 from repro.core.variants import CREAT_IMPLIED_FLAGS, VariantHandler
 from repro.trace.batch import EventBatch, make_batch_parser
-from repro.trace.events import SyscallEvent
-from repro.trace.lttng import LttngParser
-from repro.trace.strace import StraceParser
-from repro.trace.syzkaller import SyzkallerParser
-
-#: Default chunk size for :meth:`IOCov.consume_stream`.
-DEFAULT_CHUNK_SIZE = 65536
+from repro.trace.events import SyscallEvent, event_row
 
 _MISSING = object()
 
@@ -153,86 +152,12 @@ class IOCov:
 
     # -- ingestion ------------------------------------------------------------
 
-    def consume_event(self, event: SyscallEvent, *, prefiltered: bool = False) -> None:
-        """Feed one event through filter, variant merge, and counting."""
-        self.events_processed += 1
-        if not prefiltered and not self.filter.admit(event):
-            return
-        self.count_admitted(event)
-
-    def count_admitted(self, event: SyscallEvent) -> None:
-        """Count one event that already passed (or bypassed) the filter.
-
-        Increments ``events_admitted`` but not ``events_processed`` —
-        the entry point the sharded fixup replay uses for deferred
-        events whose processing was already tallied by a worker.
-        """
-        self.events_admitted += 1
-        entry = self._dispatch.get(event.name)
-        if entry is None:
-            self.untracked[event.name] += 1
-            return
-        prep, pairs, out_record = entry
-        args = event.args if prep is None else prep(event.args)
-        for arg_name, arg_record in pairs:
-            value = args.get(arg_name, _MISSING)
-            if value is not _MISSING:
-                arg_record(value)
-        if out_record is not None:
-            out_record(event.retval, event.errno)
-
-    def count_admitted_record(
-        self, name: str, args: Mapping[str, Any], retval: int, errno: int
-    ) -> None:
-        """Field-level twin of :meth:`count_admitted` (batch workers)."""
-        self.events_admitted += 1
-        entry = self._dispatch.get(name)
-        if entry is None:
-            self.untracked[name] += 1
-            return
-        prep, pairs, out_record = entry
-        if prep is not None:
-            args = prep(args)
-        for arg_name, arg_record in pairs:
-            value = args.get(arg_name, _MISSING)
-            if value is not _MISSING:
-                arg_record(value)
-        if out_record is not None:
-            out_record(retval, errno)
-
-    def _ingest(self, events: Iterable[SyscallEvent]) -> None:
-        """Hot loop: filter + dispatch-table counting, no reset."""
-        admit = self.filter.admit
-        dispatch_get = self._dispatch.get
-        untracked = self.untracked
-        processed = 0
-        admitted = 0
-        for event in events:
-            processed += 1
-            if not admit(event):
-                continue
-            admitted += 1
-            entry = dispatch_get(event.name)
-            if entry is None:
-                untracked[event.name] += 1
-                continue
-            prep, pairs, out_record = entry
-            args = event.args if prep is None else prep(event.args)
-            for arg_name, arg_record in pairs:
-                value = args.get(arg_name, _MISSING)
-                if value is not _MISSING:
-                    arg_record(value)
-            if out_record is not None:
-                out_record(event.retval, event.errno)
-        self.events_processed += processed
-        self.events_admitted += admitted
-
     def _ingest_rows(self, rows: Iterable[tuple]) -> None:
-        """Row-tuple twin of :meth:`_ingest` (batch/binary hot path).
+        """The counting loop: filter + dispatch-table counting, no reset.
 
-        Identical counting, but events arrive as ``(name, args,
-        retval, errno, pid, comm, timestamp)`` tuples so no
-        :class:`SyscallEvent` is ever constructed.
+        Every ingest path ends here.  Events arrive as ``(name, args,
+        retval, errno, pid, comm, timestamp)`` tuples, so the hot path
+        never constructs a :class:`SyscallEvent`.
         """
         admit = self.filter.admit_record
         dispatch_get = self._dispatch.get
@@ -263,17 +188,11 @@ class IOCov:
     def consume_batch(self, batch: EventBatch) -> "IOCov":
         """Feed one :class:`EventBatch` *without* resetting filter state.
 
-        The batch twin of :meth:`consume_incremental` — live ingest
-        feeds batches over time and fd-tracking state must persist.
+        The entry point for long-running live ingestion (the ``repro
+        serve`` daemon): batches arrive over time and the scoping
+        filter's fd table must persist across them.
         """
         self._ingest_rows(batch.iter_rows())
-        return self
-
-    def consume_batches(self, batches: Iterable[EventBatch]) -> "IOCov":
-        """Feed a batch stream from the start of a trace (resets filter)."""
-        self.filter.reset()
-        for batch in batches:
-            self._ingest_rows(batch.iter_rows())
         return self
 
     def consume(self, events: Iterable[SyscallEvent]) -> "IOCov":
@@ -283,45 +202,7 @@ class IOCov:
         generator — it is consumed strictly one event at a time.
         """
         self.filter.reset()
-        self._ingest(events)
-        return self
-
-    def consume_incremental(self, events: Iterable[SyscallEvent]) -> "IOCov":
-        """Feed a batch of events *without* resetting filter state.
-
-        The entry point for long-running live ingestion (the ``repro
-        serve`` daemon): batches arrive over time and the scoping
-        filter's fd table must persist across them, so unlike
-        :meth:`consume` nothing is reset between calls.
-        """
-        self._ingest(events)
-        return self
-
-    def consume_stream(
-        self,
-        events: Iterable[SyscallEvent],
-        *,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        progress: Callable[[int], None] | None = None,
-    ) -> "IOCov":
-        """Chunked streaming ingestion with optional progress callbacks.
-
-        Identical results to :meth:`consume`; at most *chunk_size*
-        events are materialized at any moment, so peak memory stays
-        O(chunk) regardless of trace size.  *progress* (if given) is
-        called with the running ``events_processed`` after each chunk.
-        """
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-        self.filter.reset()
-        iterator = iter(events)
-        while True:
-            chunk = list(islice(iterator, chunk_size))
-            if not chunk:
-                break
-            self._ingest(chunk)
-            if progress is not None:
-                progress(self.events_processed)
+        self._ingest_rows(map(event_row, events))
         return self
 
     def _consume_text_file(self, path: str, fmt: str) -> "IOCov":

@@ -8,15 +8,17 @@ failure modes are testable directly:
   outstanding, which propagates back to the client as TCP backpressure
   instead of unbounded daemon memory;
 * **chunk-mode parsing** — lines travel through the queue as whole
-  chunks and are parsed by a persistent
-  :func:`~repro.trace.batch.make_batch_parser` (the regex fast path,
-  with entry/exit pairing preserved across chunks), so a trace streamed
-  in arbitrary network-sized pieces counts identically to a one-shot
-  ``repro analyze`` of the same bytes — at batch-parse speed;
+  chunks and are parsed by the session's persistent batch parser
+  (:func:`~repro.trace.batch.make_batch_parser`: the regex fast path,
+  with LTTng entry/exit pairing and syzkaller resource bindings kept
+  across chunks), so a trace streamed in arbitrary network-sized
+  pieces counts identically to a one-shot ``repro analyze`` of the
+  same bytes — at batch-parse speed;
 * **malformed-line quarantine with an error budget** — grammar-rejected
-  lines are kept (capped) with their positions; once the malformed
-  ratio exceeds the budget the session degrades and refuses further
-  input rather than publishing numbers built on garbage;
+  lines are kept (capped) with their positions, which the batch parser
+  reports for each chunk it parses; once the malformed ratio exceeds
+  the budget the session degrades and refuses further input rather
+  than publishing numbers built on garbage;
 * **journaling** — accepted lines are appended to the run store's
   journal *before* they are counted, so a crash loses nothing:
   :meth:`IngestSession.recover` replays the journal through a fresh
@@ -45,7 +47,6 @@ from repro.obs.store import DEFAULT_PROJECT, DEFAULT_TENANT, BaseRunStore
 from repro.parallel.pool import PoolError, WorkerPool
 from repro.trace.batch import EventBatch, make_batch_parser
 from repro.trace.binary import RbtError, decode_batch, encode_batch
-from repro.trace.push import make_push_parser
 
 #: Default bound on queued-but-uncounted lines.
 DEFAULT_QUEUE_SIZE = 65536
@@ -95,48 +96,9 @@ class _Flush:
     done: threading.Event = field(default_factory=threading.Event)
 
 
-class _BatchLineParser:
-    """Chunk-mode parsing behind the push-parser counter interface.
-
-    Wraps a persistent :func:`make_batch_parser` (pairing state spans
-    chunks) and tracks ``lines_fed`` the way the push parsers do, so
-    the error-budget arithmetic and the ``/session`` stats are
-    unchanged.  When a chunk contains grammar-rejected lines the
-    parser re-probes it line-by-line with a throwaway push parser to
-    recover the malformed *positions* for the quarantine — a cost paid
-    only on the (rare) dirty chunks.
-    """
-
-    def __init__(self, fmt: str) -> None:
-        self.fmt = fmt
-        self._parser = make_batch_parser(fmt)
-        self.lines_fed = 0
-
-    @property
-    def malformed_lines(self) -> int:
-        return self._parser.malformed_lines
-
-    @property
-    def skipped_lines(self) -> int:
-        return self._parser.skipped_lines
-
-    @property
-    def pending_entries(self) -> int:
-        return self._parser.unpaired_entries
-
-    def parse_lines(self, lines: list[str]) -> tuple[list, list[int]]:
-        """Parse one chunk; returns ``(rows, malformed_indices)``."""
-        before = self._parser.malformed_lines
-        rows = self._parser.parse_chunk("\n".join(lines))
-        self.lines_fed += len(lines)
-        bad: list[int] = []
-        if self._parser.malformed_lines > before:
-            probe = make_push_parser(self.fmt)
-            for index, line in enumerate(lines):
-                _events, malformed = probe.push_line(line)
-                if malformed:
-                    bad.append(index)
-        return rows, bad
+def _chunk_text(lines: list[str]) -> str:
+    """One parser chunk holding exactly *lines* (blank ones included)."""
+    return "\n".join(lines) + "\n"
 
 
 class _PoolLineParser:
@@ -159,22 +121,20 @@ class _PoolLineParser:
     Failure containment: any pool error — or a worker *incarnation*
     change, which means the namespace's resident parser state died
     with a crashed worker — permanently reverts the session to inline
-    parsing (a fresh :class:`_BatchLineParser`; counters carry over).
-    Entry/exit pairs straddling the crash boundary may go unpaired,
-    exactly as if the stream had been restarted there.
+    parsing (a fresh batch parser; counters carry over).  Entry/exit
+    pairs straddling the crash boundary may go unpaired, exactly as if
+    the stream had been restarted there.
     """
 
     def __init__(self, fmt: str, pool: WorkerPool, key: str) -> None:
         self.fmt = fmt
-        self.lines_fed = 0
         self.malformed_lines = 0
-        self.skipped_lines = 0
-        self.pending_entries = 0
+        self.unpaired_entries = 0
         self._pool = pool
         self._key = key
         self._worker = pool.worker_for(key)
         self._incarnation = pool.incarnation(self._worker)
-        self._inline: _BatchLineParser | None = None
+        self._inline = None
 
     @property
     def offloaded(self) -> bool:
@@ -183,7 +143,7 @@ class _PoolLineParser:
 
     def _fall_back(self) -> None:
         if self._inline is None:
-            self._inline = _BatchLineParser(self.fmt)
+            self._inline = make_batch_parser(self.fmt)
 
     # -- phase 1: lock-free -----------------------------------------------------
 
@@ -192,7 +152,7 @@ class _PoolLineParser:
         if self._inline is None:
             try:
                 future = self._pool.submit_parse(
-                    self._key, self.fmt, "\n".join(lines), worker=self._worker
+                    self._key, self.fmt, _chunk_text(lines), worker=self._worker
                 )
             except PoolError:
                 self._fall_back()
@@ -226,20 +186,15 @@ class _PoolLineParser:
         kind, lines, answer = ticket
         if kind == "inline":
             inline = self._inline
-            before_malformed = inline.malformed_lines
-            before_skipped = inline.skipped_lines
-            rows, bad = inline.parse_lines(lines)
-            self.lines_fed += len(lines)
-            self.malformed_lines += inline.malformed_lines - before_malformed
-            self.skipped_lines += inline.skipped_lines - before_skipped
-            self.pending_entries = inline.pending_entries
+            before = inline.malformed_lines
+            rows = inline.parse_chunk(_chunk_text(lines))
+            self.malformed_lines += inline.malformed_lines - before
+            self.unpaired_entries = inline.unpaired_entries
             batch = EventBatch.from_rows(rows) if rows else None
-            return batch, len(rows), bad
-        _incarnation, encoded, nrows, bad, malformed, skipped, pending = answer
-        self.lines_fed += len(lines)
+            return batch, len(rows), inline.malformed_positions
+        _incarnation, encoded, nrows, bad, malformed, unpaired = answer
         self.malformed_lines += malformed
-        self.skipped_lines += skipped
-        self.pending_entries = pending
+        self.unpaired_entries = unpaired
         batch = decode_batch(encoded) if nrows else None
         return batch, nrows, bad
 
@@ -271,6 +226,11 @@ class IngestSession:
         pool: persistent :class:`~repro.parallel.pool.WorkerPool` to
             offload chunk parsing to (the ``--analysis-workers`` mode);
             None keeps parsing in-process.
+
+    Attributes:
+        parser: the batch parser (or its pool-offloaded stand-in);
+            ``malformed_lines`` and ``unpaired_entries`` are the
+            session's parse counters.
     """
 
     def __init__(
@@ -302,10 +262,10 @@ class IngestSession:
         self._labels = {"tenant": tenant, "project": project}
         self._ns = {"tenant": tenant, "project": project}
         self.iocov = IOCov(mount_point=mount_point, suite_name=suite_name)
-        self.parser: _BatchLineParser | _PoolLineParser = (
+        self.parser = (
             _PoolLineParser(fmt, pool, key=f"{tenant}/{project}")
             if pool is not None
-            else _BatchLineParser(fmt)
+            else make_batch_parser(fmt)
         )
         self.quarantine: list[Quarantined] = []
         self.degraded = False
@@ -439,7 +399,8 @@ class IngestSession:
                 if tickets is not None:
                     batch, n_rows, bad_positions = parser.apply(tickets[position])
                 else:
-                    rows, bad_positions = parser.parse_lines(item)
+                    rows = parser.parse_chunk(_chunk_text(item))
+                    bad_positions = parser.malformed_positions
                     batch = EventBatch.from_rows(rows) if rows else None
                     n_rows = len(rows)
                 n_lines += len(item)
@@ -456,7 +417,7 @@ class IngestSession:
                 if (
                     self.parser.malformed_lines > self.budget_grace
                     and self.parser.malformed_lines
-                    > self.error_budget * self.parser.lines_fed
+                    > self.error_budget * self.lines_received
                 ):
                     self.degraded = True
         self.m_lines.inc(n_lines, **self._labels)
@@ -475,7 +436,7 @@ class IngestSession:
         with self._lock:
             degraded = self.degraded
             malformed = self.parser.malformed_lines
-            fed = self.parser.lines_fed
+            fed = self.lines_received
         if degraded:
             raise SessionDegradedError(
                 f"error budget exhausted: {malformed} of "
@@ -619,7 +580,7 @@ class IngestSession:
                 "batches_received": self.batches_received,
                 "events_counted": self.events_counted,
                 "parse_errors": self.parser.malformed_lines,
-                "pending_pairs": self.parser.pending_entries,
+                "pending_pairs": self.parser.unpaired_entries,
                 "degraded": self.degraded,
                 "error_budget": self.error_budget,
                 "queue_depth": max(depth, 0),

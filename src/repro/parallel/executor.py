@@ -8,9 +8,9 @@ to a sequential pass.  Exactness rests on three mechanisms:
 1. **Counter merging** — every coverage tally is a sum, so shard
    states fold together losslessly (:meth:`ShardResult.merge`,
    tree-reduced).
-2. **Filter fixup replay** — events a shard could not decide locally
+2. **Filter fixup replay** — rows a shard could not decide locally
    (they hinge on pre-shard fd state) were deferred; the parent
-   replays each shard's op log, deferred events, and boundary pairs in
+   replays each shard's op log, deferred rows, and boundary pairs in
    stream order against a real :class:`TraceFilter`, reconstructing
    the exact sequential fd table at every decision point.
 3. **LTTng boundary stitching** — exit lines orphaned by a shard cut
@@ -35,6 +35,7 @@ from collections import defaultdict, deque
 from typing import Any
 
 from repro.core.analyzer import IOCov
+from repro.core.filter import AcceptAllFilter, TraceFilter
 from repro.core.report import CoverageReport
 from repro.parallel.pool import PoolError, get_pool, pool_is_warm
 from repro.parallel.shardfilter import OP_ADD
@@ -46,7 +47,7 @@ from repro.parallel.worker import (
     analyze_shard,
 )
 from repro.trace.batch import make_parse_stats
-from repro.trace.lttng import pair_event
+from repro.trace.lttng import pair_row
 from repro.trace.syzkaller import scan_resource_bindings
 
 #: Below this many *estimated* events per worker, fan-out costs more
@@ -125,25 +126,27 @@ def run_sharded(
     if stats is None:
         stats = {}
     stats.update(jobs_requested=requested, jobs_effective=jobs)
-    if jobs < requested:
-        stats["degrade_reason"] = "cpu_clamp"
+    # The degrade reason names the step that set the final shard count.
+    degrade_reason = "cpu_clamp" if jobs < requested else None
     spans = shard_spans(path, jobs, min_shard_bytes=min_shard_bytes)
     stats.update(shards=len(spans), sequential_fallback=False, pool_skipped=False)
-    if len(spans) <= 1:
-        stats.update(shards=1)
-        if requested > 1:
-            stats.setdefault("degrade_reason", "small_file")
-        return _run_sequential(path, fmt, mount_point, suite, stats)
     warm = pool_is_warm()
     threshold = MIN_SHARD_EVENTS_WARM if warm else MIN_SHARD_EVENTS
-    if not inline and _estimate_events(path, fmt) < jobs * threshold:
+    if len(spans) <= 1:
+        stats.update(shards=1)
+        if jobs > 1:
+            degrade_reason = "small_file"
+    elif not inline and _estimate_events(path, fmt) < jobs * threshold:
         # Not enough work to amortize the fan-out: the pool would
         # *lose* wall-clock time against the batch sequential path
         # (the measured --jobs regression on small traces).  A warm
         # pool lowers the bar — dispatch costs microseconds, not the
         # cold per-worker startup.
         stats.update(shards=1, pool_skipped=True)
-        stats.setdefault("degrade_reason", "min_shard_events")
+        degrade_reason = "min_shard_events"
+    if degrade_reason is not None:
+        stats["degrade_reason"] = degrade_reason
+    if stats["shards"] == 1:
         return _run_sequential(path, fmt, mount_point, suite, stats)
 
     if fmt == "syzkaller":
@@ -358,10 +361,11 @@ def _stitch_and_merge(
 ) -> IOCov:
     """Replay the cross-shard residue, then fold all tallies together.
 
-    The fixup analyzer's real filter is driven through the exact
-    sequence of fd-table mutations the sequential run would perform:
-    shard op logs, deferred-event decisions, and stitched boundary
-    events, interleaved in stream order by their sequence numbers.
+    A real filter is driven through the exact sequence of fd-table
+    mutations the sequential run would perform: shard op logs,
+    deferred-row decisions, and stitched boundary pairs, interleaved
+    in stream order by their sequence numbers.  The rows it admits are
+    counted through the fixup analyzer's counting loop.
 
     *residue* (if given) receives the parse-stat contributions only the
     stitch phase knows: orphan exits no earlier entry matched (the
@@ -372,9 +376,14 @@ def _stitch_and_merge(
     stream-merged in completion order; when absent (the inline path)
     they are tree-merged here.  Both are exact — every tally is a sum.
     """
-    fixup = IOCov(mount_point=mount_point, suite_name=suite)
-    real = fixup.filter
+    real = (
+        TraceFilter.for_mount_point(mount_point)
+        if mount_point is not None
+        else AcceptAllFilter()
+    )
+    admitted: list[tuple] = []
     carried: dict[tuple[int, str], deque] = defaultdict(deque)
+    stitched = 0
     unstitched_orphans = 0
 
     for result in sorted(results, key=lambda r: r.index):
@@ -400,22 +409,22 @@ def _stitch_and_merge(
                     real.register_fd(pid, fd)
                 else:
                     real.retire_fd(pid, fd)
-            elif tag == 1:  # orphan exit: pair with a carried entry
-                ns, name, pid, comm, fields = payload
+                continue
+            if tag == 1:  # orphan exit: pair with a carried entry
+                _ns, name, pid, comm, fields = payload
                 queue = carried[(pid, name)]
-                if queue:
-                    entry_ns, entry_comm, args = queue.popleft()
-                    event = pair_event(
-                        name, args, fields, pid, entry_comm or comm, entry_ns
-                    )
-                    fixup.consume_event(event)
-                else:
+                if not queue:
                     # Exit with no entry anywhere before it — the
                     # sequential parser counts it as a skipped line.
                     unstitched_orphans += 1
-            else:  # deferred event: decide against the true fd state
-                if real.admit(payload):
-                    fixup.count_admitted(payload)
+                    continue
+                entry_ns, entry_comm, args = queue.popleft()
+                row = pair_row(name, args, fields, pid, entry_comm or comm, entry_ns)
+                stitched += 1
+            else:  # deferred row: decide against the true fd state
+                row = payload
+            if real.admit_record(row[0], row[1], row[2], row[4]):
+                admitted.append(row)
 
         for key, entries in result.pending.items():
             carried[key].extend(entries)
@@ -423,6 +432,12 @@ def _stitch_and_merge(
     if residue is not None:
         residue["unstitched_orphans"] = unstitched_orphans
         residue["unpaired_entries"] = sum(len(q) for q in carried.values())
+    # Rows arrive already decided, so the fixup analyzer accepts all of
+    # them; only the stitched pairs are new to *processed* (the shards
+    # already counted their deferred rows as seen).
+    fixup = IOCov(suite_name=suite)
+    fixup._ingest_rows(admitted)
+    fixup.events_processed = stitched
     top = merged if merged is not None else tree_merge(results)
     fixup.input.merge(top.input)
     fixup.output.merge(top.output)

@@ -10,7 +10,7 @@ on the old per-call ``ProcessPoolExecutor``:
   time) and reused across every subsequent call.  A warm dispatch is a
   queue put, not a process launch.
 * **shared-memory handoff** — bulk payloads (trace shard spans, parsed
-  event batches, deferred-event ``.rbt`` blobs) travel through
+  event batches, deferred-row ``.rbt`` blobs) travel through
   :mod:`multiprocessing.shared_memory` segments read via
   :class:`memoryview`, not pickled through the pool's pipes.  Only
   small descriptors and tallies ride the task/result queues.
@@ -23,7 +23,9 @@ the parse→analyze overlap the executor's pipelined scheduler builds
 on.  Tasks can be pinned to a worker index, which gives the obs
 daemon namespace→worker **affinity**: one worker owns a namespace's
 persistent batch parser, so entry/exit pairing state spans chunks and
-per-session ordering is preserved.
+per-session ordering is preserved.  That parser reports the malformed
+line positions of each chunk itself, so a dirty chunk is parsed once,
+like a clean one.
 
 Failure containment: a dead worker fails only the futures routed to
 it (:class:`WorkerCrashError`) and is respawned with a bumped
@@ -209,34 +211,25 @@ class PoolFuture:
 def _parse_task(state: dict, key: str, fmt: str, text: str):
     """Parse one text chunk with the namespace's persistent parser.
 
-    Returns the obs offload contract: encoded rows, malformed line
-    positions within the chunk, this chunk's counter deltas, and the
-    parser's absolute unpaired-entry count (state, not a delta).
+    Returns the obs offload contract: encoded rows, the malformed line
+    positions within the chunk (as the batch parser reports them), this
+    chunk's malformed-line delta, and the parser's absolute
+    unpaired-entry count (state, not a delta).
     """
     from repro.trace.batch import make_batch_parser
     from repro.trace.binary import encode_batch
-    from repro.trace.push import make_push_parser
 
     parser = state.get(key)
     if parser is None or parser.format != fmt:
         parser = make_batch_parser(fmt)
         state[key] = parser
-    before_malformed = parser.malformed_lines
-    before_skipped = parser.skipped_lines
+    before = parser.malformed_lines
     rows = parser.parse_chunk(text)
-    bad: list[int] = []
-    if parser.malformed_lines > before_malformed:
-        probe = make_push_parser(fmt)
-        for index, line in enumerate(text.split("\n")):
-            _events, malformed = probe.push_line(line)
-            if malformed:
-                bad.append(index)
     return (
         encode_batch(rows),
         len(rows),
-        bad,
-        parser.malformed_lines - before_malformed,
-        parser.skipped_lines - before_skipped,
+        parser.malformed_positions,
+        parser.malformed_lines - before,
         parser.unpaired_entries,
     )
 
@@ -271,13 +264,13 @@ def _worker_main(worker_id: int, incarnation: int, prefix: str,
             elif kind == "parse":
                 key, fmt, blob_ref = payload
                 text = _blob_unpack(blob_ref).decode("utf-8")
-                encoded, nrows, bad, mal, skip, pending = _parse_task(
+                encoded, nrows, bad, mal, pending = _parse_task(
                     parse_state, key, fmt, text
                 )
                 answer = (
                     incarnation,
                     _blob_pack(out_prefix, encoded),
-                    nrows, bad, mal, skip, pending,
+                    nrows, bad, mal, pending,
                 )
             elif kind == "ping":
                 answer = (incarnation, payload)
@@ -556,9 +549,9 @@ class WorkerPool:
             if deferred_ref is not None:
                 result.deferred_blob = _blob_unpack(deferred_ref)
             return incarnation, result
-        if len(answer) == 7:  # parse answer
-            incarnation, blob_ref, nrows, bad, mal, skip, pending = answer
-            return incarnation, _blob_unpack(blob_ref), nrows, bad, mal, skip, pending
+        if len(answer) == 6:  # parse answer
+            incarnation, blob_ref, nrows, bad, mal, pending = answer
+            return incarnation, _blob_unpack(blob_ref), nrows, bad, mal, pending
         return answer  # ping
 
     @staticmethod

@@ -37,7 +37,6 @@ from repro.core.filter import (
     _OPEN_LIKE,
     _PATH_KEYS,
 )
-from repro.trace.events import SyscallEvent, make_event
 
 #: Per-(pid, fd) knowledge states.
 UNKNOWN, LIVE, DEAD = 0, 1, 2
@@ -61,48 +60,23 @@ class ShardFilter:
     Attributes:
         ops: definite fd-table mutations ``(seq, pid, op, fd)``, in
             stream order, for the parent's sequential replay.
-        deferred: undecidable events ``(seq, event)``, in stream order.
+        deferred: undecidable rows ``(seq, row)``, in stream order.
     """
 
     def __init__(self, base: TraceFilter) -> None:
         self.base = base
         self._fd_state: dict[int, dict[int, int]] = {}
         self.ops: list[FdOp] = []
-        self.deferred: list[tuple[int, SyscallEvent]] = []
+        self.deferred: list[tuple[int, tuple]] = []
 
     def admit_local_row(self, seq: int, row: tuple) -> bool | None:
-        """Row-tuple twin of :meth:`admit_local` (batch workers).
+        """Decide one row: True / False, or None when deferred.
 
-        *row* is ``(name, args, retval, errno, pid, comm, timestamp)``
-        as the batch parsers produce it; a :class:`SyscallEvent` is
-        constructed only if the row is actually deferred, so decidable
-        rows (the vast majority) never materialize an object.
+        *row* is ``(name, args, retval, errno, pid, comm, timestamp)``.
+        Mirrors :meth:`TraceFilter.admit_record` branch for branch;
+        every local True/False is provably the sequential verdict.
         """
-        name, args, retval, errno, pid, comm, timestamp = row
-        return self._admit(
-            seq,
-            name,
-            args,
-            retval,
-            pid,
-            lambda: make_event(
-                name, args, retval, errno, pid=pid, comm=comm, timestamp=timestamp
-            ),
-        )
-
-    def admit_local(self, seq: int, event: SyscallEvent) -> bool | None:
-        """Decide one event: True / False, or None when deferred.
-
-        Mirrors :meth:`TraceFilter.admit` branch for branch; every
-        local True/False is provably the sequential verdict.
-        """
-        return self._admit(
-            seq, event.name, event.args, event.retval, event.pid, lambda: event
-        )
-
-    def _admit(
-        self, seq: int, name: str, args, retval: int, pid: int, event_of
-    ) -> bool | None:
+        name, args, retval, _errno, pid, _comm, _ts = row
         base = self.base
         states = self._fd_state.setdefault(pid, {})
 
@@ -135,7 +109,7 @@ class ShardFilter:
             # either way.  No op is logged; the parent's replay of this
             # deferred event performs the (conditional) retire itself.
             states[fd] = DEAD
-            self.deferred.append((seq, event_of()))
+            self.deferred.append((seq, row))
             return None
 
         if name in ("dup", "dup2"):
@@ -150,7 +124,7 @@ class ShardFilter:
                 return True
             if state == DEAD:
                 return False
-            self.deferred.append((seq, event_of()))
+            self.deferred.append((seq, row))
             # The duplicate fd becomes tracked iff the source was; a
             # previously LIVE target stays live regardless (the
             # sequential filter never removes on dup).
@@ -171,7 +145,7 @@ class ShardFilter:
                     return True
                 if state == DEAD:
                     return False
-                self.deferred.append((seq, event_of()))
+                self.deferred.append((seq, row))
                 return None
 
         if name in _GLOBAL_EVENTS:

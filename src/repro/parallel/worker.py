@@ -6,22 +6,24 @@ needs to make the combined result *bit-identical* to a sequential
 pass:
 
 * the :class:`~repro.parallel.shardfilter.ShardFilter` op log and
-  deferred events (stateful mount-point filtering across shards);
+  deferred rows (stateful mount-point filtering across shards);
 * LTTng pairing residue: orphan exit lines (entry in an earlier
   shard) and pending entry lines (exit in a later shard), plus the
   per-key diagnostics the parent uses to prove local pairing was
   position-exact.
 
 Every record in the shard gets a sequence number (``seq``) in stream
-order; ops, deferred events, and orphans all carry their seq so the
+order; ops, deferred rows, and orphans all carry their seq so the
 parent can interleave its fixup replay at exactly the right points.
+Events travel as row tuples throughout and are counted by
+:meth:`IOCov._ingest_rows`, like every other ingest path.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from repro.core.analyzer import IOCov
 from repro.core.filter import TraceFilter
@@ -31,7 +33,7 @@ from repro.parallel.shardfilter import FdOp, ShardFilter
 from repro.parallel.sharding import iter_span_chunks, iter_span_lines
 from repro.trace.batch import StraceBatchParser, SyzkallerBatchParser
 from repro.trace.binary import decode_batch, encode_batch
-from repro.trace.events import SyscallEvent
+from repro.trace.events import split_lines
 from repro.trace.lttng import LttngParser, OrphanExit
 
 #: Trace formats the sharded pipeline understands.
@@ -68,8 +70,8 @@ class ShardResult:
     events_admitted: int
     #: definite fd-table mutations, (seq, pid, op, fd), stream order
     ops: list[FdOp] = field(default_factory=list)
-    #: events whose filter verdict needs pre-shard fd state
-    deferred: list[tuple[int, SyscallEvent]] = field(default_factory=list)
+    #: rows whose filter verdict needs pre-shard fd state
+    deferred: list[tuple[int, tuple]] = field(default_factory=list)
     #: LTTng exit lines whose entries live in an earlier shard
     orphans: list[tuple[int, OrphanExit]] = field(default_factory=list)
     #: LTTng entry lines whose exits live in a later shard
@@ -82,16 +84,16 @@ class ShardResult:
     #: into the run-level parse stats).
     skipped_lines: int = 0
     malformed_lines: int = 0
-    #: deferred events shipped as one encoded ``.rbt`` frame instead of
-    #: a pickled event list (cheaper IPC); ``deferred_seqs`` carries the
-    #: matching stream positions.  When set, ``deferred`` is empty.
+    #: deferred rows shipped as one encoded ``.rbt`` frame;
+    #: ``deferred_seqs`` carries the matching stream positions.  When
+    #: set, ``deferred`` is empty.
     deferred_blob: bytes | None = None
     deferred_seqs: list[int] | None = None
 
     def iter_deferred(self):
-        """Yield ``(seq, event)`` regardless of the transport encoding."""
+        """Yield ``(seq, row)`` regardless of the transport encoding."""
         if self.deferred_blob is not None:
-            return zip(self.deferred_seqs, decode_batch(self.deferred_blob).iter_events())
+            return zip(self.deferred_seqs, decode_batch(self.deferred_blob).iter_rows())
         return iter(self.deferred)
 
     def merge(self, other: "ShardResult") -> "ShardResult":
@@ -109,20 +111,30 @@ class ShardResult:
         return self
 
 
-def _feed(iocov: IOCov, shard_filter: ShardFilter | None, seq: int, event: SyscallEvent) -> None:
-    """Route one event: count locally-admitted, tally the rest.
+def _count(
+    iocov: IOCov, shard_filter: ShardFilter | None, records: Iterable[tuple[int, tuple]]
+) -> None:
+    """Count the ``(seq, row)`` records the shard decides to admit.
 
-    Deferred events count as *processed* here (the worker saw them);
-    the parent's replay adds only the admitted/coverage side, via
-    :meth:`IOCov.count_admitted`.
+    Every record counts as *processed* here (the worker saw it);
+    deferred rows reach the admitted side only through the parent's
+    replay.
     """
     if shard_filter is None:
-        iocov.consume_event(event, prefiltered=True)
+        iocov._ingest_rows(row for _seq, row in records)
         return
-    if shard_filter.admit_local(seq, event) is True:
-        iocov.consume_event(event, prefiltered=True)
-    else:
-        iocov.events_processed += 1
+    admit = shard_filter.admit_local_row
+    processed = 0
+
+    def admitted() -> Iterator[tuple]:
+        nonlocal processed
+        for seq, row in records:
+            processed += 1
+            if admit(seq, row) is True:
+                yield row
+
+    iocov._ingest_rows(admitted())
+    iocov.events_processed = processed
 
 
 def analyze_shard(task: ShardTask) -> ShardResult:
@@ -159,7 +171,6 @@ def _analyze_shard_impl(task: ShardTask, data: str | None) -> ShardResult:
     orphans: list[tuple[int, OrphanExit]] = []
     pending: PendingMap = {}
     first_pair_orphans: dict[tuple[int, str], int] = {}
-    skipped = malformed = 0
 
     if task.fmt == "lttng":
         # Entry/exit pairing and the orphan/pending stitch residue need
@@ -168,29 +179,27 @@ def _analyze_shard_impl(task: ShardTask, data: str | None) -> ShardResult:
         if data is None:
             lines = iter_span_lines(task.path, task.start, task.end)
         else:
-            lines = data.splitlines(keepends=True)
+            lines = split_lines(data)
         parser = LttngParser()
         orphan_seen: dict[tuple[int, str], int] = {}
-        seq = 0
-        for kind, payload in parser.parse_records(lines):
-            if kind == "orphan":
-                ns, name, pid, comm, fields = payload
-                key = (pid, name)
-                orphan_seen[key] = orphan_seen.get(key, 0) + 1
-                orphans.append((seq, payload))
-            else:
-                event = payload
-                key = (event.pid, event.name)
+
+        def records() -> Iterator[tuple[int, tuple]]:
+            for seq, (kind, payload) in enumerate(parser.parse_records(lines)):
+                if kind == "orphan":
+                    key = (payload[2], payload[1])  # (pid, name)
+                    orphan_seen[key] = orphan_seen.get(key, 0) + 1
+                    orphans.append((seq, payload))
+                    continue
+                key = (payload[4], payload[0])  # (pid, name)
                 if key not in first_pair_orphans:
                     first_pair_orphans[key] = orphan_seen.get(key, 0)
-                _feed(iocov, shard_filter, seq, event)
-            seq += 1
+                yield seq, payload
+
+        _count(iocov, shard_filter, records())
         pending = parser.pending_entries
-        skipped = parser.skipped_lines
-        malformed = parser.malformed_lines
     else:
         # Self-contained line formats: batch-parse the span chunk by
-        # chunk; rows feed the analyzer without event construction.
+        # chunk.
         parser = (
             StraceBatchParser()
             if task.fmt == "strace"
@@ -202,36 +211,19 @@ def _analyze_shard_impl(task: ShardTask, data: str | None) -> ShardResult:
             # In-memory span: one chunk (batch parsing is chunking-
             # independent, property-tested in tests/trace/test_batch.py).
             chunks = (data,) if data else ()
-        if shard_filter is None:
-            for chunk in chunks:
-                iocov._ingest_rows(parser.parse_chunk(chunk))
-        else:
-            admit_row = shard_filter.admit_local_row
-            count_record = iocov.count_admitted_record
-            seq = 0
-            for chunk in chunks:
-                for row in parser.parse_chunk(chunk):
-                    if admit_row(seq, row) is True:
-                        count_record(row[0], row[1], row[2], row[3])
-                    seq += 1
-                iocov.events_processed = seq
-        skipped = parser.skipped_lines
-        malformed = parser.malformed_lines
+        rows = (row for chunk in chunks for row in parser.parse_chunk(chunk))
+        _count(iocov, shard_filter, enumerate(rows))
+    skipped = parser.skipped_lines
+    malformed = parser.malformed_lines
 
     deferred = shard_filter.deferred if shard_filter is not None else []
     deferred_blob = None
     deferred_seqs = None
     if deferred:
-        # Ship the deferred events as one encoded frame: cheaper to
-        # pickle than a list of event objects, decoded lazily by the
-        # parent's stitch phase.
+        # Ship the deferred rows as one encoded frame, decoded lazily
+        # by the parent's stitch phase.
         deferred_seqs = [seq for seq, _ in deferred]
-        deferred_blob = encode_batch(
-            [
-                (e.name, e.args, e.retval, e.errno, e.pid, e.comm, e.timestamp)
-                for _, e in deferred
-            ]
-        )
+        deferred_blob = encode_batch([row for _, row in deferred])
         deferred = []
 
     return ShardResult(

@@ -4,15 +4,21 @@ Capture paths into the IOCov analyzer:
 
 * live: :class:`TraceRecorder` attached to a
   :class:`~repro.vfs.syscalls.SyscallInterface` (the LTTng equivalent);
-* offline LTTng/babeltrace text: :class:`LttngParser`;
-* offline strace text: :class:`StraceParser`;
-* syzkaller program logs (input-only): :class:`SyzkallerParser`;
-* batch-columnar parsing of any text format: :class:`EventBatch` and
-  :func:`make_batch_parser` (chunk-at-a-time, several times faster
-  than the per-line readers, result-identical by construction);
+* text traces, one batch parser per format (:func:`make_batch_parser`:
+  :class:`LttngBatchParser`, :class:`StraceBatchParser`,
+  :class:`SyzkallerBatchParser`) parsing chunk at a time into
+  :class:`EventBatch` rows.  It is the only chunk parser: file reads,
+  ``.rbt`` conversion, strace/syzkaller shard workers and live ingest
+  all run it, and it reports the positions of malformed lines itself;
+* the per-line grammars (:class:`LttngParser`, :class:`StraceParser`,
+  :class:`SyzkallerParser`) are the batch parsers' fallback for chunks
+  their strict regexes decline, and the reference the tests compare
+  every other path against;
 * binary ``.rbt`` container: :func:`convert_file`, :class:`RbtReader`,
   :class:`RbtWriter`, :class:`RbtDecoder` — parse once, analyze at
   decode speed.
+
+Every text path ends a line at ``\n`` only (:func:`split_lines`).
 """
 
 from repro.trace.batch import (
@@ -37,7 +43,7 @@ from repro.trace.binary import (
     read_rbt_events,
     read_rbt_header,
 )
-from repro.trace.events import SyscallEvent, make_event
+from repro.trace.events import SyscallEvent, make_event, split_lines
 from repro.trace.lttng import LttngParseError, LttngParser, LttngWriter
 from repro.trace.recorder import TraceRecorder
 from repro.trace.replay import ReplayDivergence, ReplayReport, TraceReplayer
@@ -75,4 +81,5 @@ __all__ = [
     "make_parse_stats",
     "read_rbt_events",
     "read_rbt_header",
+    "split_lines",
 ]

@@ -15,7 +15,15 @@ by working on **event batches**:
   to the existing per-line parsers for any chunk that contains lines
   the strict grammar declines.  The fallback makes every batch parse
   *equal by construction* to the sequential per-line parse of the same
-  text: the fast path can only decline, never disagree.
+  text: the fast path can only decline, never disagree.  A malformed
+  line always sends its chunk down the fallback, which records where
+  the malformed lines were (``malformed_positions``), so callers that
+  quarantine bad input learn the positions from the same single parse.
+
+These are the only chunk parsers: every text ingest path
+(``consume_*_file``, ``convert_file``, the sharded strace/syzkaller
+workers, the live ingest session) runs one, and every text path ends
+a line at ``\n`` only.
 
 Throughput notes: the chunk grammars validate all structure inside the
 regex engine (one C call per chunk), field/argument parsing is memoized
@@ -29,12 +37,13 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, Iterator
 
-from repro.trace.events import SyscallEvent, make_event
+from repro.trace.events import SyscallEvent, event_from_row, event_row, split_lines
 from repro.trace.lttng import (
     LttngParser,
     _WRITER_RE_M,
     _fast_fields,
     _ts_ns,
+    pair_row,
 )
 from repro.trace.strace import (
     _CALL_PATTERN as _STRACE_PATTERN,
@@ -117,15 +126,6 @@ class EventBatch:
         return cls(rows=rows)
 
     @classmethod
-    def from_events(cls, events: Iterable[SyscallEvent]) -> "EventBatch":
-        return cls(
-            rows=[
-                (e.name, e.args, e.retval, e.errno, e.pid, e.comm, e.timestamp)
-                for e in events
-            ]
-        )
-
-    @classmethod
     def from_columns(
         cls, names, argses, retvals, errnos, pids, comms, timestamps, arg_cols=None
     ) -> "EventBatch":
@@ -174,24 +174,16 @@ class EventBatch:
 
     def iter_events(self) -> Iterator[SyscallEvent]:
         """Yield one :class:`SyscallEvent` per row (compat shim)."""
-        for name, args, retval, errno, pid, comm, timestamp in self.iter_rows():
-            yield make_event(
-                name, args, retval, errno, pid=pid, comm=comm, timestamp=timestamp
-            )
-
-    def to_events(self) -> list[SyscallEvent]:
-        return list(self.iter_events())
-
-    def event_at(self, index: int) -> SyscallEvent:
-        name, args, retval, errno, pid, comm, timestamp = self.rows()[index]
-        return make_event(
-            name, args, retval, errno, pid=pid, comm=comm, timestamp=timestamp
-        )
+        return map(event_from_row, self.iter_rows())
 
 
 def _read_chunks(path: str, chunk_chars: int) -> Iterator[str]:
-    """Yield newline-aligned text chunks of roughly *chunk_chars*."""
-    with open(path, encoding="utf-8") as handle:
+    """Yield newline-aligned text chunks of roughly *chunk_chars*.
+
+    ``newline="\n"`` keeps a lone ``\r`` inside its line, as the
+    byte-level shard readers do.
+    """
+    with open(path, encoding="utf-8", newline="\n") as handle:
         while True:
             chunk = handle.read(chunk_chars)
             if not chunk:
@@ -226,6 +218,9 @@ class LttngBatchParser:
         self._pending: dict[tuple[int, str], list] = {}
         self.orphan_exits = 0
         self.events_parsed = 0
+        #: indices, within the last parsed chunk's lines, of the lines
+        #: the grammar rejected (only the fallback can find any).
+        self.malformed_positions: list[int] = []
 
     # -- counters ------------------------------------------------------------
 
@@ -257,8 +252,9 @@ class LttngBatchParser:
             rows = self._consume_matches(matches)
             if rows is not None:
                 self.events_parsed += len(rows)
+                self.malformed_positions = []
                 return rows
-        rows = self._consume_lines(chunk.splitlines())
+        rows = self._consume_lines(split_lines(chunk))
         self.events_parsed += len(rows)
         return rows
 
@@ -335,11 +331,15 @@ class LttngBatchParser:
     def _consume_lines(self, lines: Iterable[str]) -> list[Row]:
         """Per-line fallback sharing the pairing table and counters."""
         rows: list[Row] = []
+        bad: list[int] = []
         parser = self._parser
         pending = self._pending
-        for line in lines:
+        for index, line in enumerate(lines):
+            malformed = parser.malformed_lines
             parsed = parser.parse_line(line)
             if parsed is None:
+                if parser.malformed_lines != malformed:
+                    bad.append(index)
                 continue
             kind, name, ns, pid, comm, fields = parsed
             key = (pid, name)
@@ -351,11 +351,25 @@ class LttngBatchParser:
                 self.orphan_exits += 1
                 continue
             entry_ns, entry_comm, args = queue.pop(0)
-            ret = int(fields.get("ret", 0))
-            rows.append(
-                (name, args, ret, -ret if ret < 0 else 0, pid, entry_comm or comm, entry_ns)
-            )
+            rows.append(pair_row(name, args, fields, pid, entry_comm or comm, entry_ns))
+        self.malformed_positions = bad
         return rows
+
+
+def _per_line_rows(self, lines: Iterable[str]) -> list[Row]:
+    """Per-line fallback of the self-contained formats (strace, syzkaller)."""
+    rows: list[Row] = []
+    bad: list[int] = []
+    parser = self._parser
+    for index, line in enumerate(lines):
+        malformed = parser.malformed_lines
+        event = parser.parse_line(line)
+        if event is not None:
+            rows.append(event_row(event))
+        elif parser.malformed_lines != malformed:
+            bad.append(index)
+    self.malformed_positions = bad
+    return rows
 
 
 #: Chunk-mode variants of the per-line grammars.
@@ -432,6 +446,8 @@ class StraceBatchParser:
     def __init__(self) -> None:
         self._parser = StraceParser()
         self.events_parsed = 0
+        #: see :attr:`LttngBatchParser.malformed_positions`
+        self.malformed_positions: list[int] = []
 
     @property
     def skipped_lines(self) -> int:
@@ -462,8 +478,9 @@ class StraceBatchParser:
                     if row is not None:
                         rows.append(row)
                 self.events_parsed += len(rows)
+                self.malformed_positions = []
                 return rows
-        rows = self._consume_lines(chunk.splitlines())
+        rows = self._consume_lines(split_lines(chunk))
         self.events_parsed += len(rows)
         return rows
 
@@ -508,24 +525,7 @@ class StraceBatchParser:
         pid = _cached_int(pid_s) if pid_s else 0
         return (name, args, retval, err, pid, "", 0)
 
-    def _consume_lines(self, lines: Iterable[str]) -> list[Row]:
-        rows: list[Row] = []
-        parser = self._parser
-        for line in lines:
-            event = parser.parse_line(line)
-            if event is not None:
-                rows.append(
-                    (
-                        event.name,
-                        event.args,
-                        event.retval,
-                        event.errno,
-                        event.pid,
-                        event.comm,
-                        event.timestamp,
-                    )
-                )
-        return rows
+    _consume_lines = _per_line_rows
 
 
 class SyzkallerBatchParser:
@@ -541,6 +541,8 @@ class SyzkallerBatchParser:
     def __init__(self, resources=None) -> None:
         self._parser = SyzkallerParser(resources)
         self.events_parsed = 0
+        #: see :attr:`LttngBatchParser.malformed_positions`
+        self.malformed_positions: list[int] = []
 
     @property
     def skipped_lines(self) -> int:
@@ -568,8 +570,9 @@ class SyzkallerBatchParser:
                 for groups in matches:
                     rows.append(build(*groups))
                 self.events_parsed += len(rows)
+                self.malformed_positions = []
                 return rows
-        rows = self._consume_lines(chunk.splitlines())
+        rows = self._consume_lines(split_lines(chunk))
         self.events_parsed += len(rows)
         return rows
 
@@ -608,24 +611,7 @@ class SyzkallerBatchParser:
             resources[res] = 3 + len(resources)
         return (name, args, 0, 0, 0, "", 0)
 
-    def _consume_lines(self, lines: Iterable[str]) -> list[Row]:
-        rows: list[Row] = []
-        parser = self._parser
-        for line in lines:
-            event = parser.parse_line(line)
-            if event is not None:
-                rows.append(
-                    (
-                        event.name,
-                        event.args,
-                        event.retval,
-                        event.errno,
-                        event.pid,
-                        event.comm,
-                        event.timestamp,
-                    )
-                )
-        return rows
+    _consume_lines = _per_line_rows
 
 
 #: format name -> batch parser factory

@@ -14,6 +14,7 @@ simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Iterator, Mapping
 
 
@@ -83,3 +84,32 @@ def make_event(
         comm=comm,
         timestamp=timestamp,
     )
+
+
+#: SyscallEvent -> ``(name, args, retval, errno, pid, comm, timestamp)``
+#: row, the inverse of :func:`event_from_row`.
+event_row = attrgetter("name", "args", "retval", "errno", "pid", "comm", "timestamp")
+
+
+def event_from_row(row: tuple) -> SyscallEvent:
+    """Build an event from a ``(name, args, retval, errno, pid, comm,
+    timestamp)`` row, the form parsers and the analyzer carry events in."""
+    name, args, retval, errno, pid, comm, timestamp = row
+    return make_event(
+        name, args, retval, errno, pid=pid, comm=comm, timestamp=timestamp
+    )
+
+
+def split_lines(text: str) -> list[str]:
+    """Split trace text into lines at ``\\n`` only.
+
+    :meth:`str.splitlines` also breaks at ``\\r``, ``\\x0b``, ``\\x0c``,
+    ``\\x1c``-``\\x1e``, ``\\x85``, U+2028 and U+2029, any of which a
+    traced pathname may contain; every text path breaks lines where a
+    byte-level reader does.  A trailing newline yields no empty last
+    line, so blank-line counts match iterating the file.
+    """
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines

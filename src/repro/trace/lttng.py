@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, Iterator, Mapping, TextIO
 
-from repro.trace.events import SyscallEvent, make_event
+from repro.trace.events import SyscallEvent, event_from_row, split_lines
 
 _NS_PER_SEC = 1_000_000_000
 
@@ -329,13 +329,15 @@ class LttngParser:
 
     def parse_records(
         self, lines: Iterable[str]
-    ) -> Iterator[tuple[str, SyscallEvent | OrphanExit]]:
-        """Yield ``("event", event)`` / ``("orphan", exit_info)`` records.
+    ) -> Iterator[tuple[str, tuple | OrphanExit]]:
+        """Yield ``("event", row)`` / ``("orphan", exit_info)`` records.
 
-        Records appear in exit-line order — the order the sequential
-        parser yields events — so a consumer can stitch shard streams
-        back together position-exactly.  After exhaustion,
-        :attr:`pending_entries` holds entries still awaiting exits.
+        An event is a ``(name, args, retval, errno, pid, comm,
+        timestamp)`` row.  Records appear in exit-line order — the order
+        the sequential parser yields events — so a consumer can stitch
+        shard streams back together position-exactly.  After
+        exhaustion, :attr:`pending_entries` holds entries still
+        awaiting exits.
         """
         pending: dict[tuple[int, str], list[tuple[int, str, dict[str, Any]]]] = {}
         self.pending_entries = pending
@@ -356,45 +358,37 @@ class LttngParser:
                 yield "orphan", (ns, name, pid, comm, fields)
                 continue
             entry_ns, entry_comm, args = queue.pop(0)
-            yield "event", pair_event(name, args, fields, pid, entry_comm or comm, entry_ns)
+            yield "event", pair_row(name, args, fields, pid, entry_comm or comm, entry_ns)
 
     def parse(self, lines: Iterable[str]) -> Iterator[SyscallEvent]:
         """Yield flattened events from entry/exit line pairs."""
         for kind, payload in self.parse_records(lines):
             if kind == "event":
-                yield payload  # type: ignore[misc]
+                yield event_from_row(payload)
             else:
                 # Exit without entry: trace started mid-call; skip.
                 self.skipped_lines += 1
 
     def parse_text(self, text: str) -> list[SyscallEvent]:
-        return list(self.parse(text.splitlines()))
+        return list(self.parse(split_lines(text)))
 
     def iter_parse_file(self, path: str) -> Iterator[SyscallEvent]:
         """Stream events from disk without materializing the trace."""
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", newline="\n") as handle:
             yield from self.parse(handle)
 
     def parse_file(self, path: str) -> list[SyscallEvent]:
         return list(self.iter_parse_file(path))
 
 
-def pair_event(
+def pair_row(
     name: str,
     entry_args: dict[str, Any],
     exit_fields: Mapping[str, Any],
     pid: int,
     comm: str,
     entry_ns: int,
-) -> SyscallEvent:
-    """Flatten one entry/exit pair into an event (shared with fixup)."""
+) -> tuple:
+    """Flatten one entry/exit pair into an event row (shared with fixup)."""
     retval = int(exit_fields.get("ret", 0))
-    return make_event(
-        name,
-        entry_args,
-        retval,
-        -retval if retval < 0 else 0,
-        pid=pid,
-        comm=comm,
-        timestamp=entry_ns,
-    )
+    return (name, entry_args, retval, -retval if retval < 0 else 0, pid, comm, entry_ns)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, Iterator
 
-from repro.trace.events import SyscallEvent, make_event
+from repro.trace.events import SyscallEvent, make_event, split_lines
 from repro.vfs import constants
 from repro.vfs.errors import ERRNO_BY_NAME
 
@@ -240,11 +240,11 @@ class StraceParser:
                 yield event
 
     def parse_text(self, text: str) -> list[SyscallEvent]:
-        return list(self.parse(text.splitlines()))
+        return list(self.parse(split_lines(text)))
 
     def iter_parse_file(self, path: str) -> Iterator[SyscallEvent]:
         """Stream events from disk without materializing the trace."""
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", newline="\n") as handle:
             yield from self.parse(handle)
 
     def parse_file(self, path: str) -> list[SyscallEvent]:

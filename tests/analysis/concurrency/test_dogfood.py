@@ -1,9 +1,9 @@
 """The concurrency pass dogfooded over the repo's own concurrent code.
 
 This is the same gate CI enforces: zero unsuppressed findings over
-``repro/obs/``, ``repro/parallel/``, and ``repro/trace/push.py``, and
-a lock model rich enough to be meaningful (the obs subsystem really
-does hold dozens of lock sites).
+``repro/obs/`` and ``repro/parallel/``, and a lock model rich enough
+to be meaningful (the obs subsystem really does hold dozens of lock
+sites).
 """
 
 import json
@@ -94,8 +94,8 @@ def test_cli_concurrency_exit_code_on_findings(tmp_path):
 
 
 def test_load_repo_sources_targets():
-    sources = load_repo_sources(("trace/push.py",))
-    assert list(sources) == ["trace/push.py"]
+    sources = load_repo_sources(("parallel/pool.py",))
+    assert list(sources) == ["parallel/pool.py"]
     everything = load_repo_sources((".",))
     assert "cli.py" in everything
 

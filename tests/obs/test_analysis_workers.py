@@ -85,7 +85,7 @@ def test_session_offload_parity_with_inline(pool):
     assert offloaded.flush() and inline.flush()
     assert offloaded.report().to_dict() == inline.report().to_dict()
     assert offloaded.report().to_dict() == _inline_reference(text)
-    assert offloaded.parser.pending_entries == inline.parser.pending_entries
+    assert offloaded.parser.unpaired_entries == inline.parser.unpaired_entries
     assert offloaded.stats()["analysis_offload"]["enabled"] is True
     assert inline.stats()["analysis_offload"] is None
     offloaded.close()
@@ -138,8 +138,8 @@ def test_pool_line_parser_affinity_and_counters(pool):
     ticket = parser.wait(ticket)
     batch, n_rows, bad = parser.apply(ticket)
     assert n_rows == 60 and bad == []
-    assert parser.lines_fed == len(text.splitlines())
     assert parser.malformed_lines == 0
+    assert parser.unpaired_entries == 0
     stats = parser.offload_stats()
     assert stats["enabled"] is True
     assert stats["worker"] == pool.worker_for("acme/web")

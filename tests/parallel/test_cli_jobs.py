@@ -43,21 +43,26 @@ def test_jobs_zero_means_auto(capsys):
     assert sharded == serial
 
 
-def test_jobs_envelope_names_degradation(capsys):
+def test_jobs_envelope_names_degradation(capsys, monkeypatch):
     # mini.lttng.txt is far below MIN_SHARD_EVENTS, so an explicit
-    # --jobs 2 degrades — the envelope and stderr must both say so.
-    sharded = _analyze(capsys, "--jobs", "2")
-    # capsys was already drained by _analyze; re-run for stderr.
-    main(["analyze", FIXTURE, "--mount", "/mnt/test", "--name", "mini",
-          "--json", "--jobs", "2"])
-    captured = capsys.readouterr()
-    envelope = json.loads(captured.out)["jobs"]
-    assert envelope["requested"] == 2
-    assert envelope["shards"] == 1
-    assert envelope["degrade_reason"] in (
-        "cpu_clamp", "small_file", "min_shard_events"
-    )
-    assert "degraded" in captured.err
+    # --jobs 3 degrades — the envelope and stderr must both say so, and
+    # name the step that set the final shard count: the CPU clamp on
+    # one CPU, the pool skip once two workers survive the clamp.
+    for cpus, reason, detail in (
+        (1, "cpu_clamp", "only 1 CPU(s) available"),
+        (2, "min_shard_events", "too few events to amortize the worker pool"),
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        code = main(["analyze", FIXTURE, "--mount", "/mnt/test", "--name", "mini",
+                     "--json", "--jobs", "3"])
+        assert code == 0
+        captured = capsys.readouterr()
+        envelope = json.loads(captured.out)["jobs"]
+        assert envelope["requested"] == 3
+        assert envelope["effective"] == cpus
+        assert envelope["shards"] == 1
+        assert envelope["degrade_reason"] == reason
+        assert f"degraded to 1 shard(s): {detail}" in captured.err
 
 
 def test_jobs_text_output_matches(capsys):

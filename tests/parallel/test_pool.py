@@ -144,7 +144,7 @@ def test_large_parse_payload_travels_via_shm_and_is_freed(pool):
     text = "\n".join(lines)
     assert len(text.encode()) > SHM_INLINE_MAX
     future = pool.submit_parse("t/p", "strace", text)
-    incarnation, _encoded, nrows, bad, malformed, _skip, _pending = future.result(
+    incarnation, _encoded, nrows, bad, malformed, _unpaired = future.result(
         timeout=30
     )
     assert incarnation == 0

@@ -10,7 +10,7 @@ from repro.core.output_coverage import OutputCoverage
 from repro.parallel import ShardFilter, iter_span_lines, shard_spans, tree_merge
 from repro.parallel.executor import _syzkaller_snapshots
 from repro.parallel.worker import ShardResult, ShardTask, analyze_shard
-from repro.trace.events import make_event
+from repro.trace.events import event_row, make_event
 from repro.trace.syzkaller import SyzkallerParser
 
 
@@ -89,7 +89,7 @@ def test_shard_filter_definite_verdicts_match_sequential():
     shard = ShardFilter(TraceFilter.for_mount_point("/mnt/test"))
     for seq, event in enumerate(events):
         expected = sequential.admit(event)
-        verdict = shard.admit_local(seq, event)
+        verdict = shard.admit_local_row(seq, event_row(event))
         if verdict is not None:
             assert verdict == expected, (seq, event.name)
     # the undecidable ones were deferred with their positions
@@ -106,7 +106,7 @@ def test_shard_filter_op_log_tracks_definite_mutations():
         make_event("close", {"fd": 7}, 0, pid=1),
     ]
     for seq, event in enumerate(events):
-        assert shard.admit_local(seq, event) is True
+        assert shard.admit_local_row(seq, event_row(event)) is True
     assert [(op, fd) for _, _, op, fd in shard.ops] == [(0, 5), (0, 7), (1, 7)]
 
 

@@ -207,10 +207,13 @@ def test_event_batch_row_and_event_views_agree():
     batch = EventBatch.from_rows(list(rows))
     assert len(batch) == 2
     assert batch.rows() == rows
-    events = batch.to_events()
+    events = list(batch.iter_events())
     assert [e.name for e in events] == ["open", "close"]
-    assert EventBatch.from_events(events).rows() == rows
-    assert batch.event_at(1).args == {"fd": 3}
+    assert [
+        (e.name, e.args, e.retval, e.errno, e.pid, e.comm, e.timestamp)
+        for e in events
+    ] == rows
+    assert events[1].args == {"fd": 3}
 
 
 @given(

@@ -1,4 +1,14 @@
-"""Push-mode parsers: parity with the batch parsers, malformed reporting."""
+"""Push-mode ingest: traces fed in arbitrary pieces, malformed positions.
+
+``repro push`` streams a trace to the daemon in network-sized pieces.
+:class:`IngestSession` parses them with one persistent batch parser,
+which keeps LTTng entry/exit pairing and syzkaller resource bindings
+alive across feeds and reports where the malformed lines of each chunk
+are.  These tests pin both halves: streamed counts equal the per-line
+reference, and noise (blank lines, strace signal/exit annotations,
+interrupted-call halves, unknown returns, syzkaller comments) is never
+reported malformed.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import IOCov
+from repro.obs.ingest import IngestSession
+from repro.trace.batch import LttngBatchParser, StraceBatchParser, SyzkallerBatchParser
 from repro.trace.events import make_event
 from repro.trace.lttng import LttngParser, LttngWriter
-from repro.trace.push import make_push_parser
 from repro.trace.strace import StraceParser
 from repro.trace.syzkaller import SyzkallerParser
 
@@ -29,63 +41,70 @@ _EVENT = st.builds(
     timestamp=st.integers(min_value=0, max_value=10**12),
 )
 
+ENTRY = ('[00:00:00.000000001] (+0.000000001) sim syscall_entry_close:'
+         ' { cpu_id = 0 }, { procname = "t", pid = 5 }, { fd = 3 }')
+ORPHAN_EXIT = ('[00:00:00.000000002] (+0.000000001) sim syscall_exit_read:'
+               ' { cpu_id = 0 }, { procname = "t", pid = 5 }, { ret = 0 }')
 
-def _key(event):
-    return (event.name, dict(event.args), event.retval, event.errno, event.pid)
+
+def _pushed(fmt: str, text: str, piece: int, mount_point=None):
+    """Feed *text* in *piece*-sized pieces; returns (report dict, session)."""
+    session = IngestSession(fmt, mount_point=mount_point, suite_name="push")
+    try:
+        for start in range(0, len(text), piece):
+            session.feed_text(text[start:start + piece])
+        session.end_of_stream()
+        assert session.flush()
+        return session.report().to_dict(), session
+    finally:
+        session.close()
 
 
-def _push_all(parser, text: str, piece: int):
-    events = []
-    for start in range(0, len(text), piece):
-        for _line, line_events, _bad in parser.push_text(text[start:start + piece]):
-            events.extend(line_events)
-    for _line, line_events, _bad in parser.flush():
-        events.extend(line_events)
-    return events
+def _reference(parser, text: str, mount_point=None) -> dict:
+    events = parser.parse_text(text)
+    iocov = IOCov(mount_point=mount_point, suite_name="push")
+    return iocov.consume(events).report().to_dict()
 
 
 @given(events=st.lists(_EVENT, max_size=15), piece=st.integers(1, 400))
 @settings(max_examples=60, deadline=None)
 def test_lttng_push_parity_any_split(events, piece):
-    """Pushed in arbitrary pieces == batch-parsed, for any trace."""
+    """Pushed in arbitrary pieces == the per-line parse, for any trace."""
     text = LttngWriter().dumps(events)
-    batch = LttngParser().parse_text(text)
-    push = make_push_parser("lttng")
-    pushed = _push_all(push, text, piece)
-    assert [_key(e) for e in pushed] == [_key(e) for e in batch]
-    assert push.malformed_lines == 0
+    pushed, session = _pushed("lttng", text, piece)
+    assert pushed == _reference(LttngParser(), text)
+    assert session.parser.malformed_lines == 0
 
 
 @pytest.mark.parametrize("piece", (7, 211, 1 << 20))
 def test_lttng_push_parity_real_fixture(piece):
-    with open(MINI) as handle:
+    with open(MINI, encoding="utf-8", newline="\n") as handle:
         text = handle.read()
-    batch = LttngParser().parse_text(text)
-    pushed = _push_all(make_push_parser("lttng"), text, piece)
-    assert [_key(e) for e in pushed] == [_key(e) for e in batch]
+    pushed, session = _pushed("lttng", text, piece, mount_point="/mnt/test")
+    assert pushed == _reference(LttngParser(), text, mount_point="/mnt/test")
+    assert session.quarantine == []
 
 
 def test_lttng_pending_entries_and_orphan_exits():
-    parser = make_push_parser("lttng")
-    entry = ('[00:00:00.000000001] (+0.000000001) sim syscall_entry_close:'
-             ' { cpu_id = 0 }, { procname = "t", pid = 5 }, { fd = 3 }')
-    orphan_exit = ('[00:00:00.000000002] (+0.000000001) sim syscall_exit_read:'
-                   ' { cpu_id = 0 }, { procname = "t", pid = 5 }, { ret = 0 }')
-    events, malformed = parser.push_line(orphan_exit)
-    assert events == [] and not malformed  # mid-stream start: benign skip
-    events, malformed = parser.push_line(entry)
-    assert events == [] and not malformed
-    assert parser.pending_entries == 1
+    parser = LttngBatchParser()
+    rows = parser.parse_chunk(f"{ORPHAN_EXIT}\n{ENTRY}\n")
+    # Mid-stream start: the orphan exit is a benign skip, not malformed.
+    assert rows == [] and parser.malformed_positions == []
+    assert parser.unpaired_entries == 1
+    assert parser.stats()["skipped_lines"] == 1
+    assert parser.malformed_lines == 0
 
 
 def test_lttng_malformed_detection():
-    parser = make_push_parser("lttng")
-    _, malformed = parser.push_line("utter garbage")
-    assert malformed
-    _, malformed = parser.push_line("")
-    assert not malformed
+    parser = LttngBatchParser()
+    rows = parser.parse_chunk(f"{ENTRY}\nutter garbage\n\n")
+    assert rows == []
+    assert parser.malformed_positions == [1]  # the blank line is not
     assert parser.malformed_lines == 1
-    assert parser.lines_fed == 2
+    assert parser.skipped_lines == 2
+    # A clean chunk after a dirty one reports no positions.
+    parser.parse_chunk(ENTRY + "\n")
+    assert parser.malformed_positions == []
 
 
 def test_strace_push_parity():
@@ -95,43 +114,49 @@ def test_strace_push_parity():
         "close(3) = 0\n"
         'open("/mnt/test/missing", O_WRONLY) = -1 ENOENT (No such file)\n'
     )
-    batch = StraceParser().parse_text(text)
-    pushed = _push_all(make_push_parser("strace"), text, 13)
-    assert [_key(e) for e in pushed] == [_key(e) for e in batch]
+    pushed, session = _pushed("strace", text, 13)
+    assert pushed == _reference(StraceParser(), text)
+    assert session.events_counted == 4
 
 
 def test_strace_noise_is_not_malformed():
-    parser = make_push_parser("strace")
-    for line in (
+    noise = [
         "--- SIGCHLD {si_signo=SIGCHLD} ---",
         "+++ exited with 0 +++",
         'write(1, "x", 1 <unfinished ...>',
-        '<... write resumed>) = 1',
+        "<... write resumed>) = 1",
         "exit_group(0) = ?",
         "",
-    ):
-        events, malformed = parser.push_line(line)
-        assert events == [] and not malformed, line
-    _, malformed = parser.push_line("complete nonsense here")
-    assert malformed
+    ]
+    parser = StraceBatchParser()
+    rows = parser.parse_chunk("\n".join(noise + ["complete nonsense here"]) + "\n")
+    assert rows == []
+    assert parser.malformed_positions == [len(noise)]
+    assert parser.malformed_lines == 1
+    # Each noise line on its own, too (the fast path declines them all).
+    for line in noise:
+        parser.parse_chunk(line + "\n")
+        assert parser.malformed_positions == [], line
+    assert parser.malformed_lines == 1
 
 
 def test_syzkaller_push_keeps_resource_bindings():
     text = 'r0 = open(&(0x7f0000000000)="2f746d702f78", 0x2, 0x1ff)\nclose(r0)\n'
-    batch = SyzkallerParser().parse_text(text)
-    pushed = _push_all(make_push_parser("syzkaller"), text, 9)
-    assert [_key(e) for e in pushed] == [_key(e) for e in batch]
-    assert len(pushed) == 2
+    pushed, session = _pushed("syzkaller", text, 9)
+    assert pushed == _reference(SyzkallerParser(), text)
+    assert session.events_counted == 2
 
 
 def test_syzkaller_malformed_detection():
-    parser = make_push_parser("syzkaller")
-    _, malformed = parser.push_line("# a comment")
-    assert not malformed
-    _, malformed = parser.push_line("]]]]not a program[[[")
-    assert malformed
+    parser = SyzkallerBatchParser()
+    rows = parser.parse_chunk(
+        "# a comment\n]]]]not a program[[[\n\nclose(0x3)  # trailing comment\n"
+    )
+    assert [row[0] for row in rows] == ["close"]
+    assert parser.malformed_positions == [1]
+    assert parser.malformed_lines == 1
 
 
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
-        make_push_parser("dtrace")
+        IngestSession("dtrace")

@@ -1,7 +1,5 @@
 """Streaming ingestion and zero-copy recorder access."""
 
-import pytest
-
 from repro.core import IOCov
 from repro.trace.events import make_event
 from repro.trace.lttng import LttngParser, LttngWriter
@@ -53,31 +51,23 @@ def test_syzkaller_iter_parse_file_matches_parse_file(tmp_path):
     ) == SyzkallerParser().parse_file(str(path))
 
 
-# -- consume_stream ------------------------------------------------------------
+# -- consume streams ------------------------------------------------------------
 
 
-def test_consume_stream_matches_consume():
+def test_consume_generator_matches_list(tmp_path):
+    """A one-shot parser generator counts the same as a materialized list."""
     events = _sample_events()
     direct = IOCov(mount_point="/mnt/test").consume(events).report().to_dict()
-    chunked = (
+    path = tmp_path / "t.lttng.txt"
+    with open(path, "w") as fh:
+        LttngWriter().write(events, fh)
+    streamed = (
         IOCov(mount_point="/mnt/test")
-        .consume_stream(iter(events), chunk_size=7)
+        .consume(LttngParser().iter_parse_file(str(path)))
         .report()
         .to_dict()
     )
-    assert chunked == direct
-
-
-def test_consume_stream_progress_callback():
-    events = _sample_events()
-    ticks = []
-    IOCov().consume_stream(iter(events), chunk_size=10, progress=ticks.append)
-    assert ticks == [10, 20, len(events)]
-
-
-def test_consume_stream_rejects_bad_chunk_size():
-    with pytest.raises(ValueError):
-        IOCov().consume_stream([], chunk_size=0)
+    assert streamed == direct
 
 
 # -- recorder access semantics -------------------------------------------------
