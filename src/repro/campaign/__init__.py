@@ -2,7 +2,7 @@
 
 The paper measures input/output coverage; this package *acts* on it —
 the LockDoc-style feedback-driven direction from PAPERS.md applied to
-IOCov's TCD metric.  A campaign iterates generate → trace → analyze →
+IOCov's TCD metric.  A campaign iterates generate → count →
 re-weight rounds until TCD stops improving:
 
 * :mod:`repro.campaign.weights` — coverage gaps (via the same ranked

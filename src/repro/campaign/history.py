@@ -1,10 +1,10 @@
 """Campaign round history: the persistent record of the feedback loop.
 
-One :class:`RoundResult` per generate → trace → analyze → re-weight
-round, one :class:`CampaignResult` per campaign.  Both serialize to
-plain dicts that are byte-stable under a fixed seed (no wall-clock
-values — timing lives in the run store's ``wall_seconds`` column and
-the benchmark file, never in the ``repro campaign --json`` envelope).
+One :class:`RoundResult` per generate → count → re-weight round, one
+:class:`CampaignResult` per campaign.  Both serialize to plain dicts
+that are byte-stable under a fixed seed (no wall-clock values — timing
+lives in the run store's ``wall_seconds`` column and the benchmark
+file, never in the ``repro campaign --json`` envelope).
 
 The same record round-trips through :class:`~repro.obs.store.RunStore`
 meta tags (``campaign``/``round``/``tcd``/…), so a campaign's history

@@ -23,8 +23,10 @@ are pure — same seed + same weight vector ⇒ byte-identical workload
 
 from __future__ import annotations
 
-from repro.campaign.weights import WeightModel, boosted_distribution
-from repro.testsuites.fuzzer import CoverageGuidedFuzzer, FuzzProgram
+from itertools import accumulate
+
+from repro.campaign.weights import WeightModel
+from repro.testsuites.fuzzer import _OP_KINDS, CoverageGuidedFuzzer, FuzzProgram
 from repro.vfs import constants
 from repro.vfs.filesystem import FileSystem
 from repro.vfs.path import Credentials
@@ -46,6 +48,13 @@ _MODE_ARGS = {
     "mkdir": ("mkdir", "mode"),
     "chmod": ("chmod", "mode"),
 }
+
+#: The (syscall, arg) domains of the flags and whence slots.
+_FLAGS_ARG = ("open", "flags")
+_WHENCE_ARG = ("lseek", "whence")
+
+#: Open-flag partitions the modifier draws pick from.
+_MODIFIER_KEYS = {*constants.OPEN_MODIFIER_FLAGS, "unknown_bits"}
 
 #: An open-flag bit no known flag occupies (lands in "unknown_bits").
 _UNKNOWN_OPEN_BIT = next(
@@ -74,6 +83,10 @@ _ENV_ERRNOS = ("EROFS", "EBUSY", "ENOSPC", "EDQUOT", "EMFILE", "EACCES")
 class WeightedFuzzer(CoverageGuidedFuzzer):
     """A :class:`CoverageGuidedFuzzer` biased by a :class:`WeightModel`.
 
+    The weight model is fixed for one round, so each choice table (keys
+    plus cumulative weights) is built once; ``cum_weights`` draws equal
+    the per-call ``weights`` draws they replace.
+
     Args:
         weights: the round's weight model (uniform = unbiased).
         pristine_weight: relative weight of running a program against a
@@ -94,33 +107,44 @@ class WeightedFuzzer(CoverageGuidedFuzzer):
         self.pristine_weight = pristine_weight
         #: every executed program, in execution order (the workload).
         self.programs: list[FuzzProgram] = []
-        self._env_domain, self._env_weights = self._build_env_table()
+        self._tables = self._build_tables()
+        self._env_domain, self._env_cum_weights = self._build_env_table()
 
     # -- weighted choice hooks -------------------------------------------------
 
-    def _weighted_key(self, domain: list[str], weights: dict[str, float]) -> str:
-        raw = [max(1.0, weights.get(key, 1.0)) for key in domain]
-        return self.rng.choices(domain, weights=raw, k=1)[0]
+    def _build_tables(self) -> dict:
+        """Choice tables: op kinds, then one per weighted argument."""
+        kinds = [kind for kind in self.coverage.registry if kind in _OP_KINDS]
+        tables: dict = {
+            "kind": (kinds, list(accumulate(map(self.weights.syscall_weight, kinds))))
+        }
+        for pair in (*_SIZE_ARGS.values(), *_MODE_ARGS.values(), _WHENCE_ARG):
+            tables[pair] = self._partition_table(pair, self.coverage.arg(*pair).domain())
+        flags = self.coverage.arg(*_FLAGS_ARG).domain()
+        access = [k for k in flags if k in constants.OPEN_ACCESS_MODES]
+        modifiers = [k for k in flags if k in _MODIFIER_KEYS]
+        tables["access"] = self._partition_table(_FLAGS_ARG, access)
+        tables["modifiers"] = self._partition_table(_FLAGS_ARG, modifiers)
+        return tables
+
+    def _partition_table(
+        self, pair: tuple[str, str], keys: list[str]
+    ) -> tuple[list[str], list[float]]:
+        weights = self.weights.input_weights.get(pair, {})
+        return keys, list(accumulate(max(1.0, weights.get(key, 1.0)) for key in keys))
+
+    def _draw(self, table: tuple[list[str], list[float]]) -> str:
+        keys, cum_weights = table
+        return self.rng.choices(keys, cum_weights=cum_weights)[0]
 
     def _choose_kind(self) -> str:
-        kinds = list(self.coverage.registry)  # insertion-ordered, fixed
-        op_kinds = [kind for kind in kinds if kind in self._op_kind_set()]
-        raw = [self.weights.syscall_weight(kind) for kind in op_kinds]
-        return self.rng.choices(op_kinds, weights=raw, k=1)[0]
-
-    @staticmethod
-    def _op_kind_set() -> frozenset[str]:
-        from repro.testsuites.fuzzer import _OP_KINDS
-
-        return frozenset(_OP_KINDS)
+        return self._draw(self._tables["kind"])
 
     def _choose_size(self, kind: str) -> int:
         pair = _SIZE_ARGS.get(kind)
         if pair is None:
             return super()._choose_size(kind)
-        domain = self.coverage.arg(*pair).domain()
-        key = self._weighted_key(domain, self.weights.input_weights.get(pair, {}))
-        return self._numeric_in_partition(key)
+        return self._numeric_in_partition(self._draw(self._tables[pair]))
 
     def _numeric_in_partition(self, key: str) -> int:
         """A concrete value inside the named numeric partition."""
@@ -137,19 +161,10 @@ class WeightedFuzzer(CoverageGuidedFuzzer):
         return super()._choose_size("")  # unknown key: fall back
 
     def _choose_flags(self) -> int:
-        pair = ("open", "flags")
-        domain = self.coverage.arg(*pair).domain()
-        weights = self.weights.input_weights.get(pair, {})
-        access = self._weighted_key(
-            [k for k in domain if k in constants.OPEN_ACCESS_MODES], weights
-        )
-        flags = constants.OPEN_ACCESS_MODES[access]
-        modifiers = [
-            k for k in domain
-            if k in constants.OPEN_MODIFIER_FLAGS or k == "unknown_bits"
-        ]
+        flags = constants.OPEN_ACCESS_MODES[self._draw(self._tables["access"])]
+        modifiers = self._tables["modifiers"]
         for _ in range(self.rng.randint(0, 3)):
-            name = self._weighted_key(modifiers, weights)
+            name = self._draw(modifiers)
             if name == "unknown_bits":
                 flags |= _UNKNOWN_OPEN_BIT
             else:
@@ -160,11 +175,10 @@ class WeightedFuzzer(CoverageGuidedFuzzer):
         pair = _MODE_ARGS.get(kind)
         if pair is None:
             return super()._choose_mode(kind)
-        domain = self.coverage.arg(*pair).domain()
-        weights = self.weights.input_weights.get(pair, {})
+        table = self._tables[pair]
         mode = 0
         for _ in range(self.rng.randint(1, 3)):
-            name = self._weighted_key(domain, weights)
+            name = self._draw(table)
             if name == "unknown_bits":
                 mode |= _UNKNOWN_MODE_BIT
             elif name in constants.MODE_BIT_NAMES:
@@ -173,24 +187,22 @@ class WeightedFuzzer(CoverageGuidedFuzzer):
         return mode
 
     def _choose_whence(self) -> int:
-        pair = ("lseek", "whence")
-        domain = self.coverage.arg(*pair).domain()
-        name = self._weighted_key(domain, self.weights.input_weights.get(pair, {}))
+        name = self._draw(self._tables[_WHENCE_ARG])
         if name == "invalid":
             return _INVALID_WHENCE
         return constants.SEEK_WHENCE_NAMES.get(name, constants.SEEK_SET)
 
     # -- errno environments ----------------------------------------------------
 
-    def _build_env_table(self) -> tuple[list[str], dict[str, float]]:
-        """Environment domain + weights from the model's errno targets.
+    def _build_env_table(self) -> tuple[list[str], list[float]]:
+        """Environment domain + cumulative weights from the errno targets.
 
         An environment's weight is the *strongest* pull any syscall has
         toward its errno; the pristine environment keeps a fixed large
         weight so most programs still run on a healthy volume.
         """
         domain = [""]
-        weights: dict[str, float] = {"": self.pristine_weight}
+        weights = [self.pristine_weight]
         targeted = self.weights.targeted_errnos()
         for env in _ENV_ERRNOS:
             strongest = max(
@@ -203,17 +215,13 @@ class WeightedFuzzer(CoverageGuidedFuzzer):
             )
             if strongest > 1.0:
                 domain.append(env)
-                weights[env] = strongest
-        return domain, weights
+                weights.append(strongest)
+        return domain, list(accumulate(weights))
 
     def _choose_env(self) -> str:
         if len(self._env_domain) == 1:
             return ""
-        return self.rng.choices(
-            self._env_domain,
-            weights=[self._env_weights[env] for env in self._env_domain],
-            k=1,
-        )[0]
+        return self._draw((self._env_domain, self._env_cum_weights))
 
     def _setup_environment(
         self, program: FuzzProgram, fs: FileSystem, sc: SyscallInterface

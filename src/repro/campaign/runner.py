@@ -1,19 +1,21 @@
-"""The campaign control loop: generate → trace → analyze → re-weight.
+"""The campaign control loop: generate → count in memory → re-weight.
 
 Each round the runner:
 
 1. **generates** a workload with the :class:`WeightedFuzzer` under the
    round's weight model (round 0 runs uniform — the baseline);
-2. **traces** it to a real LTTng-text file via
-   :class:`~repro.trace.lttng.LttngWriter`, so every round artifact is
-   an ordinary trace any `repro` subcommand can consume;
-3. **analyzes** it through the existing pipeline — serial batch parse
-   or the ``--jobs`` shard pool — and merges into cumulative coverage;
-4. **persists** the round (cumulative report + campaign meta tags) to
-   a :class:`~repro.obs.store.BaseRunStore` and optionally pushes the
-   round trace to a live obs daemon (``--serve-url``);
-5. **re-weights** from the cumulative report and repeats until a stop
+2. **counts** the round's events in memory with
+   ``IOCov(mount_point=...).consume`` (the mount-point filter and
+   counting loop every trace reader ends in) into cumulative coverage;
+3. **persists** the round (cumulative report + campaign meta tags) to
+   a :class:`~repro.obs.store.BaseRunStore`;
+4. **re-weights** from the cumulative report and repeats until a stop
    condition fires.
+
+A round's LTTng-text trace is written only when a file is needed:
+``trace_dir`` (``--trace-dir``) keeps it as an ordinary trace, whose
+path the store then records; ``serve_url`` (``--serve-url``) pushes it
+to a live obs daemon.
 
 Stop conditions are pluggable objects; the built-ins cover the round
 budget, TCD plateau over K rounds, and a wall-clock budget.  TCD here
@@ -28,6 +30,7 @@ from __future__ import annotations
 import os
 import tempfile
 import time
+import warnings
 from typing import Iterable, Sequence
 
 from repro.campaign.history import CampaignResult, RoundResult
@@ -170,9 +173,10 @@ class CampaignRunner:
         stop_conditions: checked in order after every weighted round.
         store: run store for per-round persistence (optional).
         serve_url: push each round's trace to this obs daemon.
-        jobs: analyze round traces with the shard worker pool.
+        jobs: accepted for compatibility and ignored (with a
+            ``DeprecationWarning``): rounds are counted in memory.
         boost: weight boost for targeted partitions.
-        trace_dir: keep round traces here (default: a temp dir).
+        trace_dir: keep round traces here (default: write none).
     """
 
     def __init__(
@@ -203,7 +207,11 @@ class CampaignRunner:
         self.tenant = tenant
         self.project = project
         self.serve_url = serve_url
-        self.jobs = jobs
+        if jobs is not None:
+            warnings.warn(
+                "CampaignRunner(jobs=...) has no effect: rounds are counted "
+                "in memory", DeprecationWarning, stacklevel=2,
+            )
         self.boost = boost
         self.mount_point = mount_point
         self.trace_dir = trace_dir
@@ -222,23 +230,14 @@ class CampaignRunner:
             LttngWriter().write(events, handle)
         return path
 
-    def _analyze(self, path: str, index: int) -> CoverageReport:
-        label = f"{self.campaign}@r{index}"
-        if self.jobs is not None:
-            from repro.parallel import run_sharded
+    def _count(self, events: list, index: int) -> IOCov:
+        """Count one round's events in memory, mount-point filter included."""
+        iocov = IOCov(
+            mount_point=self.mount_point, suite_name=f"{self.campaign}@r{index}"
+        )
+        return iocov.consume(events)
 
-            return run_sharded(
-                path,
-                fmt="lttng",
-                jobs=self.jobs or None,
-                mount_point=self.mount_point,
-                suite_name=label,
-            )
-        iocov = IOCov(mount_point=self.mount_point, suite_name=label)
-        iocov.consume_lttng_file(path)
-        return iocov.report()
-
-    def _push(self, path: str) -> bool:
+    def _push(self, path: str | None) -> bool:
         if not self.serve_url:
             return False
         from repro.obs.client import PushError, push_file
@@ -262,17 +261,15 @@ class CampaignRunner:
             campaign=self.campaign, seed=self.seed, iterations=self.iterations
         )
         started = time.monotonic()
-        cumulative_in = InputCoverage()
-        cumulative_out = OutputCoverage()
-        events_total = 0
-        admitted_total = 0
-        untracked_total: dict[str, int] = {}
+        cumulative = IOCov(suite_name=f"campaign:{self.campaign}")
         weights = WeightModel.uniform()
         corpus: list = []
         previous_tcd: float | None = None
+        tested_in: set[str] = set()
+        tested_out: set[str] = set()
 
         with tempfile.TemporaryDirectory(prefix="repro-campaign-") as tmp:
-            directory = self.trace_dir or tmp
+            directory = self.trace_dir or (tmp if self.serve_url else None)
             if self.trace_dir:
                 os.makedirs(self.trace_dir, exist_ok=True)
             index = 0
@@ -286,58 +283,44 @@ class CampaignRunner:
                 fuzz_report = fuzzer.run(iterations=self.iterations)
                 corpus = list(fuzzer.corpus)
 
-                trace_path = self._write_trace(
-                    fuzzer.all_events, directory, index
-                )
                 round_wall = time.monotonic()
-                round_report = self._analyze(trace_path, index)
+                counted = self._count(fuzzer.all_events, index)
                 round_wall = time.monotonic() - round_wall
-
-                before_in = _tested_inputs(cumulative_in)
-                before_out = _tested_outputs(cumulative_out)
-                cumulative_in.merge(round_report.input_coverage)
-                cumulative_out.merge(round_report.output_coverage)
-                events_total += round_report.events_processed
-                admitted_total += round_report.events_admitted
-                for name, count in round_report.untracked.items():
-                    untracked_total[name] = untracked_total.get(name, 0) + count
-
-                snapshot = CoverageReport(
-                    suite_name=f"campaign:{self.campaign}",
-                    input_coverage=cumulative_in,
-                    output_coverage=cumulative_out,
-                    events_processed=events_total,
-                    events_admitted=admitted_total,
-                    untracked=dict(untracked_total),
+                trace_path = (
+                    self._write_trace(fuzzer.all_events, directory, index)
+                    if directory
+                    else None
                 )
+
+                snapshot = cumulative.merge(counted).report()
                 tcd = aggregate_tcd(snapshot)
+                now_in = _tested_inputs(cumulative.input)
+                now_out = _tested_outputs(cumulative.output)
                 entry = RoundResult(
                     index=index,
-                    events=round_report.events_processed,
+                    events=counted.events_processed,
                     corpus_size=fuzz_report.corpus_size,
                     tcd=tcd,
                     tcd_delta=(
                         0.0 if previous_tcd is None else previous_tcd - tcd
                     ),
-                    new_input_partitions=sorted(
-                        _tested_inputs(cumulative_in) - before_in
-                    ),
-                    new_output_partitions=sorted(
-                        _tested_outputs(cumulative_out) - before_out
-                    ),
-                    tested_inputs=len(_tested_inputs(cumulative_in)),
-                    tested_outputs=len(_tested_outputs(cumulative_out)),
+                    new_input_partitions=sorted(now_in - tested_in),
+                    new_output_partitions=sorted(now_out - tested_out),
+                    tested_inputs=len(now_in),
+                    tested_outputs=len(now_out),
                     weights_fingerprint=weights.fingerprint(),
                 )
                 previous_tcd = tcd
+                tested_in, tested_out = now_in, now_out
 
                 if self.store is not None:
+                    # Only a --trace-dir file outlives the run.
+                    kept = trace_path if self.trace_dir else None
                     entry.run_id = self.store.save_report(
                         snapshot,
-                        trace_path=trace_path,
-                        trace_format="lttng",
+                        trace_path=kept,
+                        trace_format="lttng" if kept else None,
                         seed=self.seed,
-                        jobs=self.jobs,
                         wall_seconds=round_wall,
                         meta=entry.meta(self.campaign, self.seed),
                         tenant=self.tenant,

@@ -689,6 +689,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         min_delta=args.min_delta,
         max_seconds=args.max_seconds,
     )
+    if args.jobs is not None:
+        print("repro campaign: --jobs has no effect", file=sys.stderr)
     store_cm = None
     if args.store:
         from repro.obs.store import open_store
@@ -704,7 +706,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             tenant=args.tenant or "default",
             project=args.project or "default",
             serve_url=args.serve_url,
-            jobs=args.jobs,
             boost=args.boost,
             mount_point=args.mount,
             trace_dir=args.trace_dir,
@@ -1116,7 +1117,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = sub.add_parser(
         "campaign",
         help="run a coverage-guided feedback campaign "
-        "(generate → trace → analyze → re-weight until TCD plateaus)",
+        "(generate → count → re-weight until TCD plateaus)",
     )
     campaign.add_argument(
         "--seed",
@@ -1168,7 +1169,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="analyze round traces with N shard workers (0 = auto)",
+        help="no effect; kept for compatibility (rounds are counted in "
+        "memory)",
     )
     campaign.add_argument(
         "--campaign",
@@ -1204,7 +1206,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-dir",
         default=None,
         metavar="DIR",
-        help="keep per-round trace files here (default: a temp dir)",
+        help="keep per-round trace files here (default: write none)",
     )
     campaign.add_argument("--json", action="store_true", help="dump JSON")
     campaign.set_defaults(handler=cmd_campaign)

@@ -43,6 +43,7 @@ class ArgCoverage:
 
     def __post_init__(self) -> None:
         self._is_bitmap = isinstance(self.partitioner, BitmapPartitioner)
+        self._domain_keys = frozenset(self.partitioner.domain())
         # value -> (keys, combo-or-None); keyed by (type, value) so that
         # e.g. a stray 1.0 never aliases the int 1 entry.
         self._classify_cache: dict = {}
@@ -71,17 +72,26 @@ class ArgCoverage:
                 self._classify_cache[cache_key] = entry
         return entry
 
-    def record(self, value: Any) -> None:
-        """Credit *value*'s partitions with one occurrence."""
+    def record(self, value: Any) -> int:
+        """Credit *value*'s partitions with one occurrence.
+
+        Returns how many domain partitions this value opened (count
+        zero -> nonzero), so coverage feedback costs O(1) per value.
+        """
         keys, combo = self._classified(value)
         if not keys:
             self.unclassified += 1
-            return
+            return 0
         counts = self.counts
+        opened = 0
         for key in keys:
-            counts[key] += 1
+            count = counts[key]
+            counts[key] = count + 1
+            if not count and key in self._domain_keys:
+                opened += 1
         if combo is not None:
             self.combinations[combo] += 1
+        return opened
 
     # -- merging ------------------------------------------------------------
 
@@ -189,14 +199,17 @@ class InputCoverage:
                     partitioner=make_input_partitioner(arg_spec),
                 )
 
-    def record(self, base: str, args: Mapping[str, Any]) -> None:
-        """Credit all tracked arguments present in one normalized event."""
+    def record(self, base: str, args: Mapping[str, Any]) -> int:
+        """Credit all tracked arguments present in one normalized event;
+        returns the domain partitions opened (see :meth:`ArgCoverage.record`)."""
         spec = self.registry.get(base)
         if spec is None:
-            return
+            return 0
+        opened = 0
         for arg_spec in spec.tracked_args:
             if arg_spec.name in args:
-                self._args[(base, arg_spec.name)].record(args[arg_spec.name])
+                opened += self._args[(base, arg_spec.name)].record(args[arg_spec.name])
+        return opened
 
     # -- merging ------------------------------------------------------------
 

@@ -17,7 +17,8 @@ for byte-count returns) and one partition per errno.
 
 Every partitioner exposes the same protocol:
 
-* ``domain()`` — the fixed, ordered list of partition keys;
+* ``domain()`` — the fixed, ordered list of partition keys (built once
+  at construction; every call returns a fresh copy);
 * ``classify(value)`` — the list of keys a concrete value falls into
   (bitmaps may credit several; everything else exactly one).
 
@@ -73,13 +74,14 @@ class NumericPartitioner:
         self.max_exponent = max_exponent
         self.include_negative = include_negative
         self._overflow_key = f">=2^{max_exponent + 1}"
+        keys = [NEGATIVE_KEY] if include_negative else []
+        keys.append(ZERO_KEY)
+        keys.extend(power_of_two_key(exp) for exp in range(max_exponent + 1))
+        keys.append(self._overflow_key)
+        self._domain = tuple(keys)
 
     def domain(self) -> list[str]:
-        keys = [NEGATIVE_KEY] if self.include_negative else []
-        keys.append(ZERO_KEY)
-        keys.extend(power_of_two_key(exp) for exp in range(self.max_exponent + 1))
-        keys.append(self._overflow_key)
-        return keys
+        return list(self._domain)
 
     def classify(self, value: object) -> list[str]:
         if not isinstance(value, int):
@@ -127,19 +129,18 @@ class BitmapPartitioner:
         self._flags_by_popcount = sorted(
             spec.bitmap.items(), key=lambda item: bin(item[1]).count("1"), reverse=True
         )
-
-    def domain(self) -> list[str]:
         keys: list[str] = []
-        if self.spec.access_names:
-            keys.extend(self.spec.access_names.values())
-        elif self.spec.zero_name:
-            keys.append(self.spec.zero_name)
-        keys.extend(self.spec.bitmap or {})
+        if spec.access_names:
+            keys.extend(spec.access_names.values())
+        elif spec.zero_name:
+            keys.append(spec.zero_name)
+        keys.extend(spec.bitmap)
         keys.append("unknown_bits")
         # Preserve order, drop duplicates (zero_name may also be a flag).
-        seen: set[str] = set()
-        ordered = [key for key in keys if not (key in seen or seen.add(key))]
-        return ordered
+        self._domain = tuple(dict.fromkeys(keys))
+
+    def domain(self) -> list[str]:
+        return list(self._domain)
 
     def decode(self, value: int) -> list[str]:
         """Decode *value* into the list of flag names it contains."""
@@ -190,9 +191,10 @@ class CategoricalPartitioner:
             raise ValueError(f"not a categorical arg: {spec.name}")
         self.spec = spec
         self._by_value = {value: name for name, value in spec.categories.items()}
+        self._domain = (*spec.categories, self.INVALID_KEY)
 
     def domain(self) -> list[str]:
-        return [*self.spec.categories, self.INVALID_KEY]
+        return list(self._domain)
 
     def classify(self, value: object) -> list[str]:
         if not isinstance(value, int):
@@ -237,9 +239,10 @@ class IdentifierPartitioner:
         "path_name_max_boundary",
         "path_max_boundary",
     )
+    _DOMAIN = (*FD_KEYS, *PATH_KEYS)
 
     def domain(self) -> list[str]:
-        return [*self.FD_KEYS, *self.PATH_KEYS]
+        return list(self._DOMAIN)
 
     def classify(self, value: object) -> list[str]:
         if isinstance(value, int):
@@ -317,13 +320,14 @@ class OutputPartitioner:
     def __init__(self, spec: SyscallSpec, max_exponent: int = 63) -> None:
         self.spec = spec
         self._numeric = NumericPartitioner(max_exponent, include_negative=False)
-
-    def domain(self) -> list[str]:
-        if self.spec.output_kind is OutputKind.SIZE:
+        if spec.output_kind is OutputKind.SIZE:
             success = [f"{OK_KEY}:{key}" for key in self._numeric.domain()]
         else:
             success = [OK_KEY]
-        return success + list(self.spec.errnos)
+        self._domain = (*success, *spec.errnos)
+
+    def domain(self) -> list[str]:
+        return list(self._domain)
 
     def classify(self, retval: int, errno: int = 0) -> list[str]:
         """Classify one return: *errno* > 0 wins over *retval*."""

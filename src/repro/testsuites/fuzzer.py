@@ -281,22 +281,13 @@ class CoverageGuidedFuzzer:
 
     def _new_partitions(self, events) -> int:
         """Count partitions these events open beyond current coverage."""
+        normalize = self._variants.normalize
+        record = self.coverage.record
         opened = 0
         for event in events:
-            normalized = self._variants.normalize(event)
-            if normalized is None:
-                continue
-            base, args = normalized
-            spec = self.coverage.registry.get(base)
-            if spec is None:
-                continue
-            for arg_spec in spec.tracked_args:
-                if arg_spec.name not in args:
-                    continue
-                arg_cov = self.coverage.arg(base, arg_spec.name)
-                before = set(arg_cov.tested_partitions())
-                arg_cov.record(args[arg_spec.name])
-                opened += len(set(arg_cov.tested_partitions()) - before)
+            normalized = normalize(event)
+            if normalized is not None:
+                opened += record(*normalized)
         return opened
 
     # -- the loop ------------------------------------------------------------

@@ -190,10 +190,13 @@ class FileInode(Inode):
         the size matters for coverage, not the payload.
         """
         end = offset + count
-        if end > len(self.data):
-            self.data.extend(b"\0" * (end - len(self.data)))
-        else:
-            self.data[offset:end] = b"\0" * count
+        size = len(self.data)
+        if offset < size:
+            # Zero the overwritten part of the existing data.
+            overlap = min(end, size) - offset
+            self.data[offset:offset + overlap] = b"\0" * overlap
+        if end > size:
+            self.data.extend(b"\0" * (end - size))
         self._sparse_size = max(self._sparse_size, end)
         return count
 

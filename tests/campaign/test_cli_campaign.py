@@ -122,6 +122,16 @@ def test_campaign_custom_name_and_trace_dir(tmp_path, capsys):
     assert names == ["nightly-round0.lttng.txt", "nightly-round1.lttng.txt"]
 
 
+def test_campaign_jobs_flag_has_no_effect(capsys):
+    _, plain = _campaign_json(capsys)
+    code = main(["campaign", "--seed", "5", *_FAST, "--json", "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == plain
+    assert captured.err.count("\n") == 1
+    assert "--jobs has no effect" in captured.err
+
+
 def test_history_without_campaign_flag_still_works(tmp_path, capsys):
     db = str(tmp_path / "plain.db")
     main(["campaign", "--seed", "5", "--rounds", "1", "--iterations", "40",

@@ -10,6 +10,7 @@ reproducible from the run store alone.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -183,6 +184,30 @@ def test_round_history_reproducible_from_store(tmp_path):
         store.close()
 
 
+def test_stored_trace_paths_exist_or_are_none(tmp_path):
+    """Only a kept (``trace_dir``) round file is recorded in the store."""
+    store = RunStore(tmp_path / "paths.db")
+    try:
+        for seed, trace_dir in ((1, None), (2, str(tmp_path / "traces"))):
+            CampaignRunner(
+                seed=seed,
+                iterations=30,
+                stop_conditions=[RoundBudget(1)],
+                store=store,
+                trace_dir=trace_dir,
+            ).run()
+        records = store.list_runs()
+        assert len(records) == 4
+        for record in records:
+            assert record.trace_path is None or os.path.exists(record.trace_path)
+            assert record.jobs is None
+        kept = {r.meta["campaign"]: r for r in records if r.trace_path}
+        assert set(kept) == {"camp-2"}
+        assert kept["camp-2"].trace_format == "lttng"
+    finally:
+        store.close()
+
+
 def test_store_campaign_filter_isolates_campaigns(tmp_path):
     store = RunStore(tmp_path / "multi.db")
     try:
@@ -202,13 +227,15 @@ def test_store_campaign_filter_isolates_campaigns(tmp_path):
 
 
 def test_campaign_with_jobs_pipeline_matches_serial():
-    """--jobs routes rounds through the shard pool; coverage agrees."""
+    """``jobs`` is accepted but ignored (with a DeprecationWarning):
+    rounds are counted in memory, so the result equals the serial one."""
     serial = CampaignRunner(
         seed=5, iterations=50, stop_conditions=[RoundBudget(1)]
     ).run()
-    sharded = CampaignRunner(
-        seed=5, iterations=50, stop_conditions=[RoundBudget(1)], jobs=2
-    ).run()
+    with pytest.warns(DeprecationWarning, match="no effect"):
+        sharded = CampaignRunner(
+            seed=5, iterations=50, stop_conditions=[RoundBudget(1)], jobs=2
+        ).run()
     assert serial.tcd_trajectory() == sharded.tcd_trajectory()
     assert [r.events for r in serial.rounds] == [
         r.events for r in sharded.rounds

@@ -1,8 +1,12 @@
 """Input-coverage accounting: counting, untested partitions, Table 1."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.input_coverage import InputCoverage
+from repro.core.argspec import ArgClass, ArgSpec
+from repro.core.input_coverage import ArgCoverage, InputCoverage
+from repro.core.partition import BitmapPartitioner
 from repro.vfs import constants as C
 
 
@@ -94,3 +98,47 @@ def test_summary_ratios(cov):
     assert all(value == 0.0 for value in summary.values())
     cov.record("getxattr", {"size": 0})
     assert cov.summary()[("getxattr", "size")] > 0
+
+
+# -- record() as coverage feedback ------------------------------------------------
+
+_VALUES = st.one_of(
+    st.none(),
+    st.integers(),  # negatives, 0, small and large magnitudes
+    st.integers(min_value=1 << 64, max_value=1 << 80),  # beyond 64 bits
+    st.sampled_from(["", "/", ".", "..", "/" + "n" * C.NAME_MAX, "a/" * 2100]),
+    st.text(alphabet="/.ab", max_size=12),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.lists(_VALUES, max_size=12))
+def test_record_returns_domain_partitions_opened(values):
+    """``record(v)`` returns exactly the tested-partition growth it caused,
+    on every one of the 14 tracked arguments."""
+    cov = InputCoverage()
+    pairs = cov.tracked_pairs()
+    assert len(pairs) == 14
+    for pair in pairs:
+        arg = cov.arg(*pair)
+        for value in values:
+            before = set(arg.tested_partitions())
+            opened = arg.record(value)
+            assert opened == len(set(arg.tested_partitions()) - before), (pair, value)
+
+
+def test_input_coverage_record_sums_its_arguments(cov):
+    event = {"flags": C.O_WRONLY | C.O_CREAT, "mode": 0o644}
+    assert cov.record("open", event) == 2 + 4  # 2 flags, 4 mode bits
+    assert cov.record("open", event) == 0
+    assert cov.record("rename", {"oldpath": "/a"}) == 0
+
+
+def test_record_counts_keys_outside_the_domain_but_opens_none():
+    # No zero_name: the value 0 decodes to the off-domain key "0".
+    spec = ArgSpec(name="bits", arg_class=ArgClass.BITMAP, bitmap={"A": 1})
+    arg = ArgCoverage(syscall="x", spec=spec, partitioner=BitmapPartitioner(spec))
+    assert arg.record(0) == 0
+    assert arg.counts["0"] == 1
+    assert arg.record(1) == 1
+    assert arg.tested_partitions() == ["A"]

@@ -17,6 +17,7 @@ from repro.core.partition import (
     OK_KEY,
     ZERO_KEY,
     NEGATIVE_KEY,
+    make_input_partitioner,
 )
 from repro.vfs import constants as C
 from repro.vfs.errors import ENOENT
@@ -221,3 +222,39 @@ def test_output_undocumented_errno_still_counted():
     keys = part.classify(-ENOENT, ENOENT)  # not in close's manpage list
     assert keys == ["ENOENT"]
     assert "ENOENT" not in part.domain()
+
+
+# -- domain caching -----------------------------------------------------------
+
+
+def _every_partitioner():
+    """One partitioner per tracked argument and per syscall output."""
+    for name, spec in sorted(BASE_SYSCALLS.items()):
+        for arg in spec.tracked_args:
+            yield f"{name}.{arg.name}", make_input_partitioner(arg)
+        yield f"{name}:output", OutputPartitioner(spec)
+
+
+_PARTITIONERS = dict(_every_partitioner())
+
+
+def test_every_partitioner_class_is_covered():
+    assert {type(p) for p in _PARTITIONERS.values()} == {
+        BitmapPartitioner,
+        CategoricalPartitioner,
+        IdentifierPartitioner,
+        NumericPartitioner,
+        OutputPartitioner,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_PARTITIONERS))
+def test_domain_is_an_equal_fresh_list_on_every_call(name):
+    partitioner = _PARTITIONERS[name]
+    first = partitioner.domain()
+    second = partitioner.domain()
+    assert type(first) is list
+    assert first == second and first is not second
+    # A caller mutating its copy cannot corrupt the cached domain.
+    first.clear()
+    assert partitioner.domain() == second

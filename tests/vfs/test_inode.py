@@ -66,6 +66,14 @@ def test_write_zeros_at_matches_write_at(table):
     a.write_at(0, b"\xff" * 10)
     a.write_zeros_at(2, 4)
     assert a.read_at(0, 10) == b"\xff\xff\0\0\0\0\xff\xff\xff\xff"
+    # Straddle the end of existing data: the overlapped bytes are zeroed
+    # as well as the ones appended.
+    c, d = table.new_file(), table.new_file()
+    c.write_at(0, b"abcdef")
+    d.write_at(0, b"abcdef")
+    c.write_at(2, b"\0" * 10)
+    d.write_zeros_at(2, 10)
+    assert bytes(d.data) == bytes(c.data) == b"ab" + b"\0" * 10
 
 
 def test_truncate_shrink_and_grow(table):
