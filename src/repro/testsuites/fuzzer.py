@@ -217,11 +217,12 @@ class CoverageGuidedFuzzer:
 
     # -- execution ------------------------------------------------------------
 
-    #: Per-file size cap for the scratch VFS.  A sparse file's hole
-    #: still materializes zeros on read, so without a cap a weighted
-    #: truncate to 2^40 followed by a large read allocates gigabytes;
-    #: 128 MiB keeps worst-case hole reads cheap while leaving the
-    #: whole EFBIG / huge-offset input space reachable.
+    #: Per-file size cap for the scratch VFS.  It decides which writes
+    #: and truncates fail with EFBIG, and with them the campaign's
+    #: outputs and ``final_tcd``, so it stays although zero-filled
+    #: writes no longer hold memory.  It also bounds hole reads, which
+    #: still return real zero bytes: uncapped, a weighted truncate to
+    #: 2^40 followed by a large read would allocate gigabytes.
     scratch_max_file_size = 1 << 27
 
     def _execute(self, program: FuzzProgram) -> list:

@@ -133,78 +133,75 @@ class Inode:
 
 
 class FileInode(Inode):
-    """Regular file: a materialized byte prefix plus a sparse zero tail.
+    """Regular file: written bytes, an allocated zero extent, a hole.
 
-    Growing a file by ``truncate`` does not materialize bytes: the
-    logical size moves, the tail reads as zeros, and only written
-    bytes consume memory (and, via the FS layer, device blocks).  This
-    mirrors real file systems, where a multi-GiB truncate allocates
-    nothing — and it is what lets tests create the >2 GiB O_LARGEFILE
-    boundary files cheaply.
+    ``data`` holds the bytes written with a payload.  The zero extent
+    of count-only writes follows, up to ``materialized_bytes``: the
+    device charges it like ``data``, but it holds no memory.  The
+    sparse tail of truncate growth follows, up to ``size``, and is
+    charged nothing.  Both zero regions read as zeros, so a 258 MiB
+    count-only write (the paper's Figure 3 maximum) or a >2 GiB
+    truncate (the O_LARGEFILE boundary) costs no memory.
     """
 
     def __init__(self, ino: int, mode: int = 0o644, uid: int = 0, gid: int = 0) -> None:
         super().__init__(ino, constants.S_IFREG | (mode & 0o7777), uid, gid)
         self.data = bytearray()
-        #: logical size when it exceeds the materialized data (tail hole)
-        self._sparse_size = 0
+        #: end of the allocated bytes: ``data`` plus the zero extent
+        self._allocated = 0
+        self._size = 0
 
     @property
     def size(self) -> int:
-        return max(len(self.data), self._sparse_size)
+        return self._size
 
     @property
     def materialized_bytes(self) -> int:
         """Bytes actually backed by storage (what the device charges)."""
-        return len(self.data)
+        return self._allocated
 
     def read_at(self, offset: int, count: int) -> bytes:
         """Read up to *count* bytes starting at *offset* (short at EOF)."""
-        if offset >= self.size or count <= 0:
+        if offset >= self._size or count <= 0:
             return b""
-        count = min(count, self.size - offset)
+        count = min(count, self._size - offset)
         if offset >= len(self.data):
-            # Entirely inside the sparse tail: zero-filled bytes come
-            # straight from calloc'd pages, with no slice/concat copies.
             return bytes(count)
         chunk = bytes(self.data[offset : offset + count])
         if len(chunk) < count:
-            # The request extends into the sparse tail: zeros.
-            chunk += b"\0" * (count - len(chunk))
+            chunk += bytes(count - len(chunk))
         return chunk
 
     def write_at(self, offset: int, data: bytes) -> int:
         """Write *data* at *offset*, zero-filling any hole; returns count."""
         end = offset + len(data)
         if end > len(self.data):
-            self.data.extend(b"\0" * (end - len(self.data)))
+            self.data.extend(bytes(end - len(self.data)))
         self.data[offset:end] = data
-        self._sparse_size = max(self._sparse_size, end)
+        self._allocated = max(self._allocated, end)
+        self._size = max(self._size, end)
         return len(data)
 
     def write_zeros_at(self, offset: int, count: int) -> int:
-        """Write *count* zero bytes at *offset* without a temporary buffer.
+        """Write *count* zero bytes at *offset*; the zeros hold no memory.
 
-        Fast path for calibration workloads issuing very large writes
-        (e.g. the 258 MiB maximum in the paper's Figure 3), where only
-        the size matters for coverage, not the payload.
+        Only the overlap with ``data`` is zeroed; the rest joins the
+        zero extent.  Workloads issue count-only writes up to the
+        paper's 258 MiB Figure 3 maximum.
         """
         end = offset + count
-        size = len(self.data)
-        if offset < size:
-            # Zero the overwritten part of the existing data.
-            overlap = min(end, size) - offset
-            self.data[offset:offset + overlap] = b"\0" * overlap
-        if end > size:
-            self.data.extend(b"\0" * (end - size))
-        self._sparse_size = max(self._sparse_size, end)
+        overlap = min(end, len(self.data)) - offset
+        if overlap > 0:
+            self.data[offset:end] = bytes(overlap)
+        self._allocated = max(self._allocated, end)
+        self._size = max(self._size, end)
         return count
 
     def truncate_to(self, length: int) -> None:
         """Set the logical size to *length*; growth is a sparse hole."""
-        if length < len(self.data):
-            del self.data[length:]
-        self._sparse_size = length
+        del self.data[length:]
+        self._allocated = min(self._allocated, length)
+        self._size = length
 
 
 class DirInode(Inode):

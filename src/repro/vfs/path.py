@@ -21,7 +21,7 @@ from repro.vfs.errors import (
     ENOTDIR,
     FsError,
 )
-from repro.vfs.inode import DirInode, Inode, InodeTable, SymlinkInode
+from repro.vfs.inode import DirInode, FileInode, Inode, InodeTable, SymlinkInode
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,12 @@ class PathResolver:
         """Split a path into components, dropping empty segments."""
         return [part for part in path.split("/") if part]
 
-    def _validate(self, path: str) -> None:
+    def _validate(self, path: str, parts: list[str]) -> None:
         if not path:
             raise FsError(ENOENT, "empty path")
         if len(path) > constants.PATH_MAX:
             raise FsError(ENAMETOOLONG, f"path length {len(path)}")
-        for part in self.split(path):
+        for part in parts:
             if len(part) > constants.NAME_MAX:
                 raise FsError(ENAMETOOLONG, f"component length {len(part)}")
         if "\0" in path:
@@ -138,44 +138,44 @@ class PathResolver:
             must_exist: when False, a missing *final* component yields a
                 result with ``inode=None`` instead of ENOENT (the
                 O_CREAT / mkdir case).  Missing intermediate components
-                always raise.
+                always raise.  When True, a path with a trailing slash
+                that ends at a regular file (after following a final
+                symlink, if *follow_final*) raises ENOTDIR, as on Linux.
 
         Raises:
             FsError: ENOENT, ENOTDIR, ELOOP, ENAMETOOLONG, EACCES, EINVAL.
         """
         if _depth > constants.SYMLOOP_MAX:
             raise FsError(ELOOP, path)
-        self._validate(path)
+        parts = self.split(path)
+        self._validate(path, parts)
 
         if path.startswith("/"):
             current = self._table.get(self.root_ino)
         else:
             current = self._table.get(cwd_ino)
 
-        parts = self.split(path)
         if not parts:
             # Path was "/" (or all slashes): the root itself.
             assert isinstance(current, DirInode)
             return ResolveResult(parent=None, name="", inode=current)
 
+        check_search = not creds.is_superuser  # root may search any directory
         symlink_budget = [constants.SYMLOOP_MAX - _depth]
         for index, name in enumerate(parts):
             is_final = index == len(parts) - 1
             if not isinstance(current, DirInode):
                 raise FsError(ENOTDIR, "/".join(parts[:index]) or "/")
-            check_permission(current, creds, MAY_EXEC)
+            if check_search:
+                check_permission(current, creds, MAY_EXEC)
 
             if name == ".":
                 child: Inode | None = current
             elif name == "..":
                 child = self._table.get(current.parent_ino)
             else:
-                try:
-                    child_ino = current.lookup(name)
-                except FsError:
-                    child = None
-                else:
-                    child = self._table.get(child_ino)
+                child_ino = current.entries.get(name)
+                child = None if child_ino is None else self._table.get(child_ino)
 
             if child is None:
                 if is_final and not must_exist:
@@ -199,6 +199,8 @@ class PathResolver:
                     raise FsError(ENOENT, path)
 
             if is_final:
+                if must_exist and isinstance(child, FileInode) and path.endswith("/"):
+                    raise FsError(ENOTDIR, path)
                 parent = current if isinstance(current, DirInode) else None
                 return ResolveResult(parent=parent, name=name, inode=child)
             current = child

@@ -319,6 +319,10 @@ class SyscallInterface:
             must_exist=not creating,
             forbid_symlinks=forbid_symlinks,
         )
+        if creating and path.endswith("/"):
+            # Linux: O_CREAT with a trailing slash (an existing name or
+            # one to create) is EISDIR.
+            raise FsError(EISDIR, path)
         inode = result.inode
         just_created = False
 

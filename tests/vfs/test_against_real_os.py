@@ -72,6 +72,59 @@ def test_path_through_file_enotdir(pair):
     assert sim.errno == err == errno.ENOTDIR
 
 
+#: Trailing-slash calls on a regular file "file" (and a fresh name
+#: "new"): (simulated call, real call taking the tmpdir, errno).
+TRAILING_SLASH_CASES = {
+    "open-file-slash": (
+        lambda sc: sc.open("/file/", C.O_RDONLY),
+        lambda real: os.open(f"{real}/file/", os.O_RDONLY),
+        errno.ENOTDIR,
+    ),
+    "truncate-file-slash": (
+        lambda sc: sc.truncate("/file/", 0),
+        lambda real: os.truncate(f"{real}/file/", 0),
+        errno.ENOTDIR,
+    ),
+    "chmod-file-slash": (
+        lambda sc: sc.chmod("/file/", 0o644),
+        lambda real: os.chmod(f"{real}/file/", 0o644),
+        errno.ENOTDIR,
+    ),
+    "creat-new-slash": (
+        lambda sc: sc.open("/new/", C.O_CREAT | C.O_WRONLY, 0o644),
+        lambda real: os.open(f"{real}/new/", os.O_CREAT | os.O_WRONLY, 0o644),
+        errno.EISDIR,
+    ),
+    "creat-file-slash": (
+        lambda sc: sc.open("/file/", C.O_CREAT | C.O_WRONLY, 0o644),
+        lambda real: os.open(f"{real}/file/", os.O_CREAT | os.O_WRONLY, 0o644),
+        errno.EISDIR,
+    ),
+    "mkdir-new-slash": (
+        lambda sc: sc.mkdir("/new/", 0o755),
+        lambda real: os.mkdir(f"{real}/new/", 0o755),
+        0,
+    ),
+    "mkdir-file-slash": (
+        lambda sc: sc.mkdir("/file/", 0o755),
+        lambda real: os.mkdir(f"{real}/file/", 0o755),
+        errno.EEXIST,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRAILING_SLASH_CASES))
+def test_trailing_slash_agrees(pair, case):
+    sc, real = pair
+    sim_call, real_call, expected = TRAILING_SLASH_CASES[case]
+    sc.close(sc.open("/file", C.O_CREAT | C.O_WRONLY, 0o644).retval)
+    os.close(os.open(f"{real}/file", os.O_CREAT | os.O_WRONLY, 0o644))
+    sim = sim_call(sc)
+    _, err = real_errno(real_call, real)
+    assert sim.errno == err == expected
+    assert sorted(sc.fs.root.names()) == sorted(os.listdir(real))
+
+
 def test_name_max_boundary(pair):
     sc, real = pair
     ok_name = "n" * 255

@@ -1,5 +1,7 @@
 """read/write families: data integrity, offsets, limits, errnos."""
 
+import tracemalloc
+
 import pytest
 
 from repro.vfs import constants as C
@@ -213,3 +215,22 @@ def test_count_only_write_is_zero_filled(rw):
     sc, fd = rw
     assert sc.write(fd, count=64).retval == 64
     assert sc.pread64(fd, 64, 0).data == b"\0" * 64
+
+
+def test_count_only_258mib_write_allocates_nothing(sc, mkfile):
+    """Figure 3's largest write size is charged to the device in full
+    but held in no memory: the zeros are an extent, not a buffer."""
+    nbytes = 258 << 20
+    mkfile("/big")
+    fd = sc.open("/big", C.O_RDWR).retval
+    tracemalloc.start()
+    try:
+        got = sc.write(fd, count=nbytes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.retval == 270532608
+    device = sc.fs.device
+    assert device.owner_blocks(sc.fs.lookup("/big").ino) == device.blocks_for(nbytes)
+    assert sc.pread64(fd, 4096, nbytes - 4096).data == bytes(4096)
+    assert peak < 1 << 20

@@ -42,6 +42,68 @@ def test_read_back_what_you_wrote(chunks):
     assert inode.size == len(shadow)
 
 
+class _MaterializedFile:
+    """Reference model: every allocated byte, zeros included, lives in
+    one buffer, and the logical size may run past it (a tail hole)."""
+
+    def __init__(self) -> None:
+        self.buf = bytearray()
+        self.size = 0
+
+    def write_at(self, offset: int, data: bytes) -> None:
+        end = offset + len(data)
+        if end > len(self.buf):
+            self.buf.extend(bytes(end - len(self.buf)))
+        self.buf[offset:end] = data
+        self.size = max(self.size, end)
+
+    def truncate_to(self, length: int) -> None:
+        del self.buf[length:]
+        self.size = length
+
+    def contents(self) -> bytes:
+        return bytes(self.buf).ljust(self.size, b"\0")
+
+
+_OFFSET = st.integers(0, 5000)
+_FILE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("write"),
+            _OFFSET,
+            st.binary(min_size=1, max_size=512).map(
+                lambda b: bytes(x or 0xFF for x in b)
+            ),
+        ),
+        st.tuples(st.just("zeros"), _OFFSET, st.integers(0, 5000)),
+        st.tuples(st.just("truncate"), _OFFSET),
+    ),
+    max_size=20,
+)
+
+
+@given(ops=_FILE_OPS)
+@settings(max_examples=200)
+def test_file_inode_matches_materialized_model(ops):
+    """Zero writes held as an extent read, size and charge exactly like
+    zeros written into a buffer, across data, extent and hole."""
+    inode = InodeTable().new_file()
+    model = _MaterializedFile()
+    for op in ops:
+        if op[0] == "write":
+            inode.write_at(op[1], op[2])
+            model.write_at(op[1], op[2])
+        elif op[0] == "zeros":
+            assert inode.write_zeros_at(op[1], op[2]) == op[2]
+            model.write_at(op[1], bytes(op[2]))
+        else:
+            inode.truncate_to(op[1])
+            model.truncate_to(op[1])
+        assert inode.read_at(0, inode.size + 16) == model.contents()
+        assert inode.size == model.size
+        assert inode.materialized_bytes == len(model.buf)
+
+
 @given(
     ops=st.lists(
         st.tuples(st.sampled_from(["grow", "shrink", "free"]), st.integers(0, 40)),
