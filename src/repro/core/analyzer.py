@@ -23,7 +23,13 @@ Every ingest path ends in one counting loop over row tuples
 ``(name, args, retval, errno, pid, comm, timestamp)``: the batch
 parsers and the ``.rbt`` decoder produce rows directly, and
 :meth:`IOCov.consume` adapts :class:`SyscallEvent` objects to rows at
-the edge.
+the edge.  The loop filters every event but credits *shapes*: admitted
+events that agree on everything counting reads are tallied and
+credited once per call with their multiplicity (in parts past
+``_TALLY_CAP`` distinct shapes), in first-appearance order, which
+leaves the same counts in the same order as crediting event by event.
+Test suites repeat the same calls, so a batch of tens of thousands of
+events reduces to hundreds of shapes.
 
 Two properties matter for scale (see :mod:`repro.parallel`):
 
@@ -52,6 +58,11 @@ from repro.trace.batch import EventBatch, make_batch_parser
 from repro.trace.events import SyscallEvent, event_row
 
 _MISSING = object()
+
+#: Most distinct shapes one tally holds before it is credited.  Bounds
+#: memory on a long stream whose shapes never repeat; crediting early
+#: keeps the order, since it credits every shape seen so far.
+_TALLY_CAP = 4096
 
 
 def _prep_creat(args: Mapping[str, Any]) -> Mapping[str, Any]:
@@ -137,31 +148,49 @@ class IOCov:
             base = base_name(name)
             spec = input_registry.get(base)
             if spec is not None:
-                pairs = tuple(
-                    (arg.name, self.input.arg(base, arg.name).record)
-                    for arg in spec.tracked_args
-                )
+                arg_names = tuple(arg.name for arg in spec.tracked_args)
+                arg_records = tuple(self.input.arg(base, a).record for a in arg_names)
                 out_record = self.output.syscall(base).record
             else:
                 # Variant of a base outside a custom registry: admitted
                 # and normalized but contributes no counts (and is not
                 # "untracked" — it is one of the 27 tracked names).
-                pairs = ()
+                arg_names = arg_records = ()
                 out_record = None
-            self._dispatch[name] = (_ARG_PREP.get(name), pairs, out_record)
+            # The registry tracks one or two arguments per call; those
+            # arities get their shape built inline, any other arity
+            # (custom registries) through the generic loop.
+            first = second = None
+            if len(arg_names) == 1:
+                first = arg_names[0]
+            elif len(arg_names) == 2:
+                first, second = arg_names
+            self._dispatch[name] = (
+                _ARG_PREP.get(name), first, second, arg_names, arg_records, out_record
+            )
 
     # -- ingestion ------------------------------------------------------------
 
     def _ingest_rows(self, rows: Iterable[tuple]) -> None:
-        """The counting loop: filter + dispatch-table counting, no reset.
+        """The counting loop: filter, then credit admitted events by shape.
 
         Every ingest path ends here.  Events arrive as ``(name, args,
         retval, errno, pid, comm, timestamp)`` tuples, so the hot path
         never constructs a :class:`SyscallEvent`.
+
+        Admitted events are tallied by *shape*: the name, retval, errno
+        and the class and value of each tracked argument — everything
+        counting reads.  The class keeps ``1``, ``True`` and ``1.0``
+        apart, as the classify memo does.  Crediting shapes in
+        first-appearance order gives every Counter the insertion order
+        per-event crediting gives.  An unhashable value flushes the
+        tally and is credited on its own.
         """
         admit = self.filter.admit_record
         dispatch_get = self._dispatch.get
         untracked = self.untracked
+        tally: dict[tuple, int] = {}
+        tally_get = tally.get
         processed = 0
         admitted = 0
         for name, args, retval, errno, pid, _comm, _ts in rows:
@@ -173,17 +202,50 @@ class IOCov:
             if entry is None:
                 untracked[name] += 1
                 continue
-            prep, pairs, out_record = entry
+            prep, first, second, arg_names, _records, _out = entry
             if prep is not None:
                 args = prep(args)
-            for arg_name, arg_record in pairs:
-                value = args.get(arg_name, _MISSING)
-                if value is not _MISSING:
-                    arg_record(value)
-            if out_record is not None:
-                out_record(retval, errno)
+            if second is not None:
+                v0 = args.get(first, _MISSING)
+                v1 = args.get(second, _MISSING)
+                shape = (name, retval, errno, v0, v0.__class__, v1, v1.__class__)
+            elif first is not None:
+                v0 = args.get(first, _MISSING)
+                shape = (name, retval, errno, v0, v0.__class__)
+            else:
+                shape = (name, retval, errno)
+                for arg_name in arg_names:
+                    v0 = args.get(arg_name, _MISSING)
+                    shape += (v0, v0.__class__)
+            try:
+                count = tally_get(shape)
+            except TypeError:  # unhashable value (iovec length lists)
+                self._credit(tally.items())
+                tally.clear()
+                self._credit(((shape, 1),))
+                continue
+            if count is not None:
+                tally[shape] = count + 1
+                continue
+            if len(tally) >= _TALLY_CAP:
+                self._credit(tally.items())
+                tally.clear()
+            tally[shape] = 1
+        self._credit(tally.items())
         self.events_processed += processed
         self.events_admitted += admitted
+
+    def _credit(self, shapes: Iterable[tuple[tuple, int]]) -> None:
+        """Credit each ``(shape, n)`` to the coverage it counts in."""
+        dispatch = self._dispatch
+        for shape, n in shapes:
+            arg_records, out_record = dispatch[shape[0]][4:]
+            # shape = (name, retval, errno, value, class, value, class, ...)
+            for record, value in zip(arg_records, shape[3::2]):
+                if value is not _MISSING:
+                    record(value, n)
+            if out_record is not None:
+                out_record(shape[1], shape[2], n)
 
     def consume_batch(self, batch: EventBatch) -> "IOCov":
         """Feed one :class:`EventBatch` *without* resetting filter state.

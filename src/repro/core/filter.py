@@ -102,7 +102,10 @@ class TraceFilter:
     # -- event filtering ----------------------------------------------------
 
     def _fds_for(self, pid: int) -> set[int]:
-        return self._live_fds.setdefault(pid, set())
+        fds = self._live_fds.get(pid)
+        if fds is None:
+            fds = self._live_fds[pid] = set()
+        return fds
 
     def admit(self, event: SyscallEvent) -> bool:
         """Decide one event, updating fd-tracking state."""
@@ -116,7 +119,9 @@ class TraceFilter:
         point lets them skip materializing a :class:`SyscallEvent`
         per record on the hot path.
         """
-        fds = self._live_fds.setdefault(pid, set())
+        fds = self._live_fds.get(pid)
+        if fds is None:
+            fds = self._live_fds[pid] = set()
 
         path_arg = _OPEN_LIKE.get(name)
         if path_arg is not None:

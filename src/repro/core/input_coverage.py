@@ -72,25 +72,27 @@ class ArgCoverage:
                 self._classify_cache[cache_key] = entry
         return entry
 
-    def record(self, value: Any) -> int:
-        """Credit *value*'s partitions with one occurrence.
+    def record(self, value: Any, n: int = 1) -> int:
+        """Credit *value*'s partitions with *n* occurrences.
 
-        Returns how many domain partitions this value opened (count
-        zero -> nonzero), so coverage feedback costs O(1) per value.
+        Leaves the state *n* calls of ``record(value)`` would leave and
+        returns what the first of them returns: how many domain
+        partitions this value opened (count zero -> nonzero), so
+        coverage feedback costs O(1) per value.
         """
         keys, combo = self._classified(value)
         if not keys:
-            self.unclassified += 1
+            self.unclassified += n
             return 0
         counts = self.counts
         opened = 0
         for key in keys:
             count = counts[key]
-            counts[key] = count + 1
+            counts[key] = count + n
             if not count and key in self._domain_keys:
                 opened += 1
         if combo is not None:
-            self.combinations[combo] += 1
+            self.combinations[combo] += n
         return opened
 
     # -- merging ------------------------------------------------------------

@@ -46,7 +46,8 @@ class SyscallOutputCoverage:
         state["_classify_cache"] = {}
         return state
 
-    def record(self, retval: int, errno: int = 0) -> None:
+    def record(self, retval: int, errno: int = 0, n: int = 1) -> None:
+        """Credit the partitions of ``(retval, errno)`` with *n* occurrences."""
         cache_key = (retval, errno)
         keys = self._classify_cache.get(cache_key)
         if keys is None:
@@ -55,7 +56,7 @@ class SyscallOutputCoverage:
                 self._classify_cache[cache_key] = keys
         counts = self.counts
         for key in keys:
-            counts[key] += 1
+            counts[key] += n
 
     # -- merging ------------------------------------------------------------
 

@@ -29,7 +29,10 @@ Throughput notes: the chunk grammars validate all structure inside the
 regex engine (one C call per chunk), field/argument parsing is memoized
 on the part strings that repeat across a trace (``flags = 577``,
 ``AT_FDCWD``), and each event costs one tuple append instead of a
-dataclass construction.
+dataclass construction.  For LTTng, an entry followed by its own exit
+is one ``findall`` match that bypasses the pairing table, and each
+parser parses a repeated field block once (see
+:meth:`~repro.trace.lttng.LttngParser.entry_fields`).
 """
 
 from __future__ import annotations
@@ -38,13 +41,7 @@ import re
 from typing import Any, Iterable, Iterator
 
 from repro.trace.events import SyscallEvent, event_from_row, event_row, split_lines
-from repro.trace.lttng import (
-    LttngParser,
-    _WRITER_RE_M,
-    _fast_fields,
-    _ts_ns,
-    pair_row,
-)
+from repro.trace.lttng import LttngParser, _WRITER_RE_M, _ts_ns, pair_row
 from repro.trace.strace import (
     _CALL_PATTERN as _STRACE_PATTERN,
     _CALL_RE as _STRACE_RE,
@@ -247,14 +244,11 @@ class LttngBatchParser:
 
     def parse_chunk(self, chunk: str) -> list[Row]:
         """Parse one newline-aligned text chunk into rows."""
-        matches = _WRITER_RE_M.findall(chunk)
-        if len(matches) == _line_count(chunk):
-            rows = self._consume_matches(matches)
-            if rows is not None:
-                self.events_parsed += len(rows)
-                self.malformed_positions = []
-                return rows
-        rows = self._consume_lines(split_lines(chunk))
+        rows = self._consume_matches(_WRITER_RE_M.findall(chunk), _line_count(chunk))
+        if rows is None:
+            rows = self._consume_lines(split_lines(chunk))
+        else:
+            self.malformed_positions = []
         self.events_parsed += len(rows)
         return rows
 
@@ -271,11 +265,13 @@ class LttngBatchParser:
             if rows:
                 yield EventBatch.from_rows(rows)
 
-    def _consume_matches(self, matches: list[tuple]) -> list[Row] | None:
+    def _consume_matches(self, matches: list[tuple], lines: int) -> list[Row] | None:
         """Fast path over findall tuples; None means redo per-line.
 
-        Pairing state mutates as matches are consumed, so the pending
-        table is snapshotted up front and restored on decline.
+        Declines unless the matches cover all *lines* of the chunk (a
+        pair match covers two).  Pairing state mutates as matches are
+        consumed, so the pending table is snapshotted up front and
+        restored on decline.
         """
         pending = self._pending
         snapshot = {key: list(queue) for key, queue in pending.items()}
@@ -284,8 +280,27 @@ class LttngBatchParser:
         append = rows.append
         ts_ns = _ts_ns
         cached_int = _cached_int
-        fast_fields = _fast_fields
-        for ts, nsf, xname, xcomm, xpid, xret, ename, ecomm, epid, body in matches:
+        entry_fields = self._parser.entry_fields
+        singles = 0
+        for ts, nsf, xname, xcomm, xpid, xret, ename, ecomm, epid, body, pcomm, pret in matches:
+            if pret:
+                # An entry and its own exit on the next line.
+                fields = entry_fields(body)
+                if fields is None:
+                    break
+                pid = cached_int(epid)
+                entry_ns = ts_ns(ts) + int(nsf)
+                comm = ecomm
+                queue = pending.get((pid, ename))
+                if queue:
+                    # An older entry of this (pid, name) still waits:
+                    # the exit pairs with it, first in first out.
+                    queue.append((entry_ns, ecomm, fields))
+                    entry_ns, comm, fields = queue.pop(0)
+                ret = cached_int(pret)
+                append((ename, fields, ret, -ret if ret < 0 else 0, pid, comm or pcomm, entry_ns))
+                continue
+            singles += 1
             if xname:
                 # Exit line: ret was captured by the grammar.
                 key = (cached_int(xpid), xname)
@@ -309,16 +324,9 @@ class LttngBatchParser:
                     )
                 )
             else:
-                if "{" in body or "}" in body or "\\" in body:
-                    fields = None
-                else:
-                    fields = fast_fields(body)
+                fields = entry_fields(body)
                 if fields is None:
-                    # Odd field block: the permissive grammar must
-                    # decide what this chunk means.
-                    self._pending = snapshot
-                    self.orphan_exits = orphans_before
-                    return None
+                    break
                 key = (cached_int(epid), ename)
                 queue = pending.get(key)
                 entry = (ts_ns(ts) + int(nsf), ecomm, fields)
@@ -326,7 +334,14 @@ class LttngBatchParser:
                     pending[key] = [entry]
                 else:
                     queue.append(entry)
-        return rows
+        else:
+            if 2 * len(matches) - singles == lines:
+                return rows
+        # An unmatched line or an odd field block: the permissive
+        # grammar must decide what this chunk means.
+        self._pending = snapshot
+        self.orphan_exits = orphans_before
+        return None
 
     def _consume_lines(self, lines: Iterable[str]) -> list[Row]:
         """Per-line fallback sharing the pairing table and counters."""

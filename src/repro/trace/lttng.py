@@ -15,7 +15,9 @@ recorder output or an on-disk trace file:
 { cpu_id = 0 }, { procname = "fsx", pid = 1 }, { ret = 3 }
 
 Each syscall becomes an entry/exit line pair keyed by name; the parser
-pairs them back up (per pid, in order) into flattened events.
+pairs them back up (per pid, in order) into flattened events.  A
+parser memoizes the field blocks it has parsed, since test suites
+repeat the same calls over and over.
 """
 
 from __future__ import annotations
@@ -56,18 +58,41 @@ _CONTEXT_KEYS = ("pid", "procname", "cpu_id")
 #:
 #: Groups: 1 ts(HH:MM:SS) 2 ns | exit: 3 name 4 comm 5 pid 6 ret
 #:                              | entry: 7 name 8 comm 9 pid 10 body
-_WRITER_PATTERN = (
-    r"\[(\d\d:\d\d:\d\d)\.(\d{9})\] \(\+[0-9.]+\) \S+ syscall_"
-    r"(?:exit_(\w+): \{ cpu_id = \d+ \}, "
+_WRITER_HEAD = r"\[(\d\d:\d\d:\d\d)\.(\d{9})\] \(\+[0-9.]+\) \S+ syscall_"
+_WRITER_EXIT = (
+    r"exit_(\w+): \{ cpu_id = \d+ \}, "
     r"\{ procname = \"([^\"\\{}]*)\", pid = (\d+) \}, "
     r"\{ ret = (-?(?:0|[1-9]\d*)) \}"
-    r"|entry_(\w+): \{ cpu_id = \d+ \}, "
-    r"\{ procname = \"([^\"\\{}]*)\", pid = (\d+) \}, "
-    r"\{ (.*) \})$"
 )
-_WRITER_RE = re.compile(_WRITER_PATTERN)
-#: Chunk-mode variant: anchored per line for `findall` over whole reads.
-_WRITER_RE_M = re.compile("(?m)^" + _WRITER_PATTERN)
+_WRITER_ENTRY = (
+    r"entry_(\w+): \{ cpu_id = \d+ \}, "
+    r"\{ procname = \"([^\"\\{}]*)\", pid = (\d+) \}, "
+    r"\{ (.*) \}"
+)
+_WRITER_RE = re.compile(f"{_WRITER_HEAD}(?:{_WRITER_EXIT}|{_WRITER_ENTRY})$")
+
+#: The next line when it is the matched entry's own exit: the same name
+#: and pid (backreferences to groups 7 and 9), and otherwise what the
+#: exit alternative accepts.  Groups: 11 comm 12 ret.
+_OWN_EXIT = (
+    r"\n\[\d\d:\d\d:\d\d\.\d{9}\] \(\+[0-9.]+\) \S+ syscall_"
+    r"exit_\7: \{ cpu_id = \d+ \}, "
+    r"\{ procname = \"([^\"\\{}]*)\", pid = \9 \}, "
+    r"\{ ret = (-?(?:0|[1-9]\d*)) \}"
+)
+#: Chunk-mode grammar for `findall` over whole reads, anchored per
+#: line.  Its pair alternative is an entry followed by its own exit, so
+#: a writer-shaped event costs one match; groups 11 and 12 are empty
+#: for a lone entry or exit.
+_WRITER_RE_M = re.compile(
+    f"(?m)^{_WRITER_HEAD}(?:{_WRITER_EXIT}|{_WRITER_ENTRY}(?:{_OWN_EXIT})?)$"
+)
+
+#: Most field blocks one :class:`LttngParser` memoizes before it starts
+#: over.  Suites repeat a small set of blocks, the most frequent ones
+#: late in a trace, so clearing when full keeps the hit share where a
+#: memo that stopped filling would lose it.
+_FIELD_MEMO_CAP = 1024
 
 #: "HH:MM:SS" -> nanoseconds-at-second-boundary.  Traces advance through
 #: at most 86 400 distinct wall-second labels per day, so this stays tiny.
@@ -247,6 +272,11 @@ class LttngParser:
     The parallel executor stitches these back together across shard
     boundaries; plain :meth:`parse` treats orphan exits as skipped
     lines, exactly as before.
+
+    Each parser memoizes the field blocks of writer-shaped entries
+    (:meth:`entry_fields`), so a block a suite repeats is parsed once
+    per parser; the memo holds at most ``_FIELD_MEMO_CAP`` blocks and
+    starts over when full.
     """
 
     def __init__(self, strict: bool = False, fast: bool = True) -> None:
@@ -261,6 +291,29 @@ class LttngParser:
         #: (pid, name) -> pending entry records, set after an iteration
         #: of :meth:`parse_records` is exhausted.
         self.pending_entries: dict[tuple[int, str], list[tuple[int, str, dict[str, Any]]]] = {}
+        #: writer-shaped field block -> its fields (see :meth:`entry_fields`)
+        self._field_memo: dict[str, dict[str, Any]] = {}
+
+    def entry_fields(self, body: str) -> dict[str, Any] | None:
+        """Fields of a writer-shaped entry block, or None to decline.
+
+        Memoized per parser: suites repeat the same blocks over and
+        over.  Every call returns a fresh dict, so callers may mutate
+        what they get.  A declined block (braces, escapes, or a shape
+        :func:`_fast_fields` rejects) is left to the permissive grammar.
+        """
+        memo = self._field_memo
+        fields = memo.get(body)
+        if fields is None:
+            if "{" in body or "}" in body or "\\" in body:
+                return None
+            fields = _fast_fields(body)
+            if fields is None:
+                return None
+            if len(memo) >= _FIELD_MEMO_CAP:
+                memo.clear()
+            memo[body] = fields
+        return fields.copy()
 
     def parse_line(self, line: str) -> tuple[str, str, int, int, str, dict[str, Any]] | None:
         """Parse one line into (kind, name, ts, pid, comm, fields)."""
@@ -274,11 +327,10 @@ class LttngParser:
                     # Exit alternative: ret was captured by the regex.
                     ns = _ts_ns(g[0]) + int(g[1])
                     return "exit", g[2], ns, int(g[4]), g[3], {"ret": int(g[5])}
-                if "{" not in body and "}" not in body and "\\" not in body:
-                    fields = _fast_fields(body)
-                    if fields is not None:
-                        ns = _ts_ns(g[0]) + int(g[1])
-                        return "entry", g[6], ns, int(g[8]), g[7], fields
+                fields = self.entry_fields(body)
+                if fields is not None:
+                    ns = _ts_ns(g[0]) + int(g[1])
+                    return "entry", g[6], ns, int(g[8]), g[7], fields
                 # Braces/escapes derail the regex block splitter — the
                 # slow path must decide what such a line means.
         match = _LINE_RE.match(stripped)

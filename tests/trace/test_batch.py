@@ -12,7 +12,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.trace.batch import (
@@ -234,6 +234,87 @@ def test_lttng_parity_any_chunking(seed, cuts):
         rows.extend(parser.parse_chunk("".join(lines[index : index + step])))
         index += step
     want_rows, want_stats = _rows_via_lines("lttng", text)
+    assert rows == want_rows
+    assert parser.stats() == want_stats
+
+
+def _per_line_reference(text: str):
+    """Rows and stats of the plain per-line parser (no batch code)."""
+    parser = LttngParser()
+    records = list(parser.parse_records(text.splitlines()))
+    rows = [payload for kind, payload in records if kind == "event"]
+    orphans = sum(1 for kind, _ in records if kind == "orphan")
+    stats = {
+        "format": "lttng",
+        "skipped_lines": parser.skipped_lines + orphans,
+        "malformed_lines": parser.malformed_lines,
+        "unpaired_entries": sum(len(q) for q in parser.pending_entries.values()),
+    }
+    return rows, stats
+
+
+_STREAM_EVENT = st.tuples(
+    st.sampled_from(["read", "write", "openat"]),
+    st.integers(min_value=1, max_value=3),  # pid
+    st.integers(min_value=-5, max_value=9),  # retval
+    st.sampled_from(["/mnt/test/a", "/mnt/test/b", "/mnt/test/{odd}"]),
+    st.integers(min_value=0, max_value=4),  # exit delay, in entries
+)
+
+
+@given(
+    events=st.lists(_STREAM_EVENT, min_size=1, max_size=30),
+    drop_first_entry=st.booleans(),
+    drop_last_exit=st.booleans(),
+    garbage_at=st.one_of(st.none(), st.integers(min_value=0, max_value=60)),
+    cuts=st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=5),
+)
+@example(  # entry, entry, exit: the exit follows the younger entry
+    events=[("read", 1, 3, "/mnt/test/a", 1), ("read", 1, 4, "/mnt/test/b", 0)],
+    drop_first_entry=False,
+    drop_last_exit=False,
+    garbage_at=None,
+    cuts=[100],
+)
+@settings(max_examples=200, deadline=None)
+def test_lttng_interleaved_streams_match_per_line_parser(
+    events, drop_first_entry, drop_last_exit, garbage_at, cuts
+):
+    """Delayed exits across pids: batch rows and stats equal per-line ones.
+
+    Exits land up to four entries after their own, so streams mix
+    adjacent pairs with entries of the same (pid, name) still waiting,
+    which the pair match must hand to FIFO pairing.
+    """
+    writer = LttngWriter()
+    slots = []
+    for index, (name, pid, ret, path, delay) in enumerate(events):
+        event = make_event(
+            name, {"pathname": path, "count": index % 3}, ret, 0,
+            pid=pid, comm="tester", timestamp=index * 10,
+        )
+        entry, exit_line = writer.format_event(event)
+        slots.append(((index, 0, index), entry))
+        slots.append(((index + delay, 1, index), exit_line))
+    lines = [line for _, line in sorted(slots)]
+    if drop_first_entry:
+        lines.remove(next(line for line in lines if "syscall_entry_" in line))
+    if drop_last_exit:
+        last_exit = max(i for i, line in enumerate(lines) if "syscall_exit_" in line)
+        del lines[last_exit]
+    if garbage_at is not None:
+        lines.insert(min(garbage_at, len(lines)), "not an lttng line")
+    with_ends = [line + "\n" for line in lines]
+
+    parser = LttngBatchParser()
+    rows = []
+    index = 0
+    cut_iter = itertools.cycle(cuts)
+    while index < len(with_ends):
+        step = next(cut_iter)
+        rows.extend(parser.parse_chunk("".join(with_ends[index : index + step])))
+        index += step
+    want_rows, want_stats = _per_line_reference("".join(with_ends))
     assert rows == want_rows
     assert parser.stats() == want_stats
 

@@ -140,3 +140,41 @@ def test_live_trace_roundtrip(sc, recorder):
     for got, want in zip(parsed, recorder.events):
         assert got.retval == want.retval
         assert dict(got.args) == dict(want.args)
+
+
+def test_field_memo_hands_out_unaliased_dicts():
+    from repro.trace.batch import LttngBatchParser
+
+    writer = LttngWriter()
+    event = make_event("write", {"fd": 3, "count": 4096}, 4096, pid=7, timestamp=5)
+    entry, _exit = writer.format_event(event)
+    parser = LttngParser()
+    first = parser.parse_line(entry)[5]
+    second = parser.parse_line(entry)[5]
+    assert first == second == {"fd": 3, "count": 4096}
+    assert first is not second
+    first["count"] = 0
+    first["extra"] = 1
+    assert second == {"fd": 3, "count": 4096}
+    assert parser.parse_line(entry)[5] == {"fd": 3, "count": 4096}
+
+    # The batch fast path shares the memo and its rows share no dicts.
+    batch = LttngBatchParser()
+    rows = batch.parse_chunk(writer.dumps([event, event]))
+    assert [row[1] for row in rows] == [{"fd": 3, "count": 4096}] * 2
+    assert rows[0][1] is not rows[1][1]
+    rows[0][1].clear()
+    assert rows[1][1] == {"fd": 3, "count": 4096}
+    assert batch.parse_chunk(writer.dumps([event]))[0][1] == {"fd": 3, "count": 4096}
+
+
+def test_field_memo_stays_bounded():
+    from repro.trace.lttng import _FIELD_MEMO_CAP
+
+    writer = LttngWriter()
+    parser = LttngParser()
+    for i in range(_FIELD_MEMO_CAP * 2 + 3):
+        event = make_event("write", {"fd": 3, "count": i}, i, timestamp=i)
+        entry, _exit = writer.format_event(event)
+        assert parser.parse_line(entry)[5] == {"fd": 3, "count": i}
+        assert len(parser._field_memo) <= _FIELD_MEMO_CAP
