@@ -20,14 +20,15 @@ than ``GATE_TOLERANCE``.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
 from repro.campaign import CampaignRunner, RoundBudget, StopCondition, TcdPlateau
 
+from benchmarks.bench_record import bench_path, load_bench, record_bench
+
 #: Where the campaign measurements land (repo root, CI-archived).
-BENCH_FILE = os.path.join(os.path.dirname(__file__), "..", "BENCH_campaign.json")
+BENCH_FILE = bench_path("campaign")
 
 #: The reference configuration (matches the CI campaign smoke job).
 SEED = 7
@@ -41,31 +42,9 @@ PLATEAU_MIN_DELTA = 1e-3
 GATE_TOLERANCE = 0.05
 
 
-def _record_bench(key: str, payload: dict) -> None:
-    """Merge one measurement into BENCH_campaign.json."""
-    document = {}
-    if os.path.exists(BENCH_FILE):
-        with open(BENCH_FILE) as handle:
-            try:
-                document = json.load(handle)
-            except ValueError:
-                document = {}
-    document[key] = payload
-    with open(BENCH_FILE, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def _committed_final_tcd() -> float | None:
     """The committed BENCH_campaign.json value, read before overwrite."""
-    if not os.path.exists(BENCH_FILE):
-        return None
-    with open(BENCH_FILE) as handle:
-        try:
-            document = json.load(handle)
-        except ValueError:
-            return None
-    return document.get("reference_campaign", {}).get("final_tcd")
+    return load_bench(BENCH_FILE).get("reference_campaign", {}).get("final_tcd")
 
 
 class _RoundTimer(StopCondition):
@@ -127,7 +106,8 @@ def test_campaign_convergence_benchmark():
         )
     events_total = sum(entry.events for entry in result.rounds)
     trajectory = result.tcd_trajectory()
-    _record_bench(
+    record_bench(
+        BENCH_FILE,
         "reference_campaign",
         {
             "seed": SEED,

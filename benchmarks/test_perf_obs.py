@@ -11,10 +11,6 @@ commit:
   clients, one tenant each, against the worker-pool daemon (with
   ``IOCOV_BENCH_GATE=1`` the aggregate is gated against the committed
   single-client baseline — concurrency must never cost throughput),
-* the same concurrent load against a daemon started with analysis
-  workers (``--analysis-workers``): chunk parsing offloaded to the
-  persistent process pool, gated (>= 4 CPUs only) at 1.5x the
-  committed in-process concurrent aggregate,
 * run-store write and read-back latency for a full coverage report.
 """
 
@@ -28,25 +24,11 @@ from repro.obs.ingest import IngestSession
 from repro.obs.store import RunStore
 from repro.trace.lttng import LttngWriter
 
+from benchmarks.bench_record import bench_path, committed_bench, record_bench
 from benchmarks.test_perf_throughput import _synthetic_events
 
 #: Where the observability measurements land (repo root, CI-archived).
-BENCH_FILE = os.path.join(os.path.dirname(__file__), "..", "BENCH_obs.json")
-
-
-def _record_bench(key: str, payload: dict) -> None:
-    """Merge one measurement into BENCH_obs.json."""
-    document = {}
-    if os.path.exists(BENCH_FILE):
-        with open(BENCH_FILE) as handle:
-            try:
-                document = json.load(handle)
-            except ValueError:
-                document = {}
-    document[key] = payload
-    with open(BENCH_FILE, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+BENCH_FILE = bench_path("obs")
 
 
 EVENT_COUNT = 50_000
@@ -75,7 +57,8 @@ def test_obs_ingest_throughput():
         assert session.report().events_processed == count
     finally:
         session.close()
-    _record_bench(
+    record_bench(
+        BENCH_FILE,
         "ingest_throughput",
         {
             "events": count,
@@ -116,7 +99,8 @@ def test_obs_http_ingest_throughput():
         server.drain_and_stop(snapshot=False)
         server.server_close()
         thread.join(timeout=30)
-    _record_bench(
+    record_bench(
+        BENCH_FILE,
         "http_ingest",
         {
             "events": count,
@@ -136,34 +120,10 @@ CONCURRENT_CLIENTS = 4
 GATE_FRACTION = 0.9
 
 
-def _committed_bench(key: str, field: str):
-    """The committed BENCH_obs.json value, read before overwrite."""
-    if not os.path.exists(BENCH_FILE):
-        return None
-    with open(BENCH_FILE) as handle:
-        try:
-            document = json.load(handle)
-        except ValueError:
-            return None
-    value = document.get(key, {}).get(field)
-    return value if isinstance(value, (int, float)) and value > 0 else None
-
-
 #: Captured at import, before any test in this run rewrites the file:
 #: the gate must compare against the *committed* baseline, not a
 #: measurement taken seconds earlier on the same machine state.
-COMMITTED_SINGLE_CLIENT = _committed_bench("http_ingest", "events_per_sec")
-
-#: The committed concurrent aggregate (no analysis workers) — the
-#: baseline the pool-offload variant is gated against.
-COMMITTED_CONCURRENT_AGGREGATE = _committed_bench(
-    "concurrent_http_ingest", "aggregate_events_per_sec"
-)
-
-#: Required pool-offload speedup over the committed in-process
-#: concurrent aggregate (enforced only under ``IOCOV_BENCH_GATE=1`` on
-#: boxes with >= 4 CPUs).
-ANALYSIS_WORKERS_SPEEDUP_FLOOR = 1.5
+COMMITTED_SINGLE_CLIENT = committed_bench(BENCH_FILE, "http_ingest", "events_per_sec")
 
 
 def test_obs_concurrent_http_ingest():
@@ -238,134 +198,13 @@ def test_obs_concurrent_http_ingest():
         payload["speedup_vs_single_client"] = round(
             aggregate / single_client_baseline, 2
         )
-    _record_bench("concurrent_http_ingest", payload)
+    record_bench(BENCH_FILE, "concurrent_http_ingest", payload)
     if os.environ.get("IOCOV_BENCH_GATE") and single_client_baseline:
         floor = GATE_FRACTION * single_client_baseline
         assert aggregate >= floor, (
             f"concurrent aggregate {aggregate:,.0f} ev/s fell below "
             f"{GATE_FRACTION:.0%} of the committed single-client "
             f"{single_client_baseline:,.0f} ev/s"
-        )
-
-
-def test_obs_concurrent_ingest_with_analysis_workers(tmp_path):
-    """The pool-offload daemon under the same 4-client concurrent load.
-
-    ``--analysis-workers`` moves chunk parsing out of the daemon
-    process into persistent pool workers, so on real multi-core
-    hardware the aggregate must beat the committed in-process
-    concurrent baseline by ``ANALYSIS_WORKERS_SPEEDUP_FLOOR``.  The
-    measurement (and a per-tenant ``/live`` parity check against an
-    inline reference) always runs and is recorded; the speedup gate is
-    enforced only with ``IOCOV_BENCH_GATE=1`` and skipped — loudly —
-    on boxes with fewer than 4 CPUs, where parse offload cannot
-    overlap with anything.
-    """
-    import http.client
-
-    import pytest
-
-    from repro.obs.server import make_server
-
-    concurrent_baseline = COMMITTED_CONCURRENT_AGGREGATE
-    text, count = _trace_text()
-    raw = text.encode("utf-8")
-    trace_path = tmp_path / "bench.lttng.txt"
-    trace_path.write_text(text)
-    reference = IOCov(mount_point="/mnt/test", suite_name="live")
-    reference.consume_lttng_file(str(trace_path))
-    reference_live = reference.report().to_dict()
-    server, _ = make_server(
-        "127.0.0.1", 0, fmt="lttng", mount_point="/mnt/test",
-        suite_name="live", workers=CONCURRENT_CLIENTS * 2,
-        analysis_workers=CONCURRENT_CLIENTS,
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    failures = []
-
-    def client(index: int) -> None:
-        try:
-            host, port = server.server_address[:2]
-            pieces = [raw[i:i + 65536] for i in range(0, len(raw), 65536)]
-            conn = http.client.HTTPConnection(host, port, timeout=600)
-            conn.request(
-                "POST", f"/t/bench{index}/ingest",
-                body=iter(pieces), encode_chunked=True,
-            )
-            response = conn.getresponse()
-            document = json.loads(response.read())
-            conn.close()
-            assert response.status == 200, document
-            assert document["events_counted"] == count
-        except BaseException as exc:  # noqa: BLE001 - surfaced below
-            failures.append(exc)
-
-    def get_json(path: str) -> dict:
-        host, port = server.server_address[:2]
-        conn = http.client.HTTPConnection(host, port, timeout=600)
-        try:
-            conn.request("GET", path)
-            return json.loads(conn.getresponse().read())
-        finally:
-            conn.close()
-
-    try:
-        offload_workers = get_json("/healthz")["analysis_workers"]
-        threads = [
-            threading.Thread(target=client, args=(index,))
-            for index in range(CONCURRENT_CLIENTS)
-        ]
-        start = time.perf_counter()
-        for worker in threads:
-            worker.start()
-        for worker in threads:
-            worker.join(timeout=600)
-        secs = time.perf_counter() - start
-        assert not failures, failures[0]
-        offload_enabled = []
-        for index in range(CONCURRENT_CLIENTS):
-            # Parity: every tenant's live report must be byte-identical
-            # to the inline single-process reference.
-            assert get_json(f"/t/bench{index}/live") == reference_live, index
-            offload_enabled.append(
-                get_json(f"/t/bench{index}/session")["analysis_offload"]["enabled"]
-            )
-    finally:
-        server.drain_and_stop(snapshot=False)
-        server.server_close()
-        thread.join(timeout=30)
-    total_events = count * CONCURRENT_CLIENTS
-    aggregate = total_events / secs
-    cpus = os.cpu_count() or 1
-    payload = {
-        "clients": CONCURRENT_CLIENTS,
-        "analysis_workers": offload_workers,
-        "offload_enabled_per_tenant": offload_enabled,
-        "cpus": cpus,
-        "events_per_client": count,
-        "events_total": total_events,
-        "seconds": round(secs, 3),
-        "aggregate_events_per_sec": round(aggregate),
-    }
-    if concurrent_baseline:
-        payload["concurrent_inprocess_baseline"] = concurrent_baseline
-        payload["speedup_vs_inprocess"] = round(
-            aggregate / concurrent_baseline, 2
-        )
-    _record_bench("concurrent_http_ingest_analysis_workers", payload)
-    assert offload_workers == CONCURRENT_CLIENTS
-    if cpus < 4:
-        pytest.skip(
-            f"analysis-workers speedup needs >= 4 CPUs, found {cpus}: "
-            "aggregate recorded to BENCH_obs.json, speedup gate NOT enforced"
-        )
-    if os.environ.get("IOCOV_BENCH_GATE") and concurrent_baseline:
-        floor = ANALYSIS_WORKERS_SPEEDUP_FLOOR * concurrent_baseline
-        assert aggregate >= floor, (
-            f"pool-offload aggregate {aggregate:,.0f} ev/s fell below "
-            f"{ANALYSIS_WORKERS_SPEEDUP_FLOOR}x the committed in-process "
-            f"concurrent {concurrent_baseline:,.0f} ev/s"
         )
 
 
@@ -389,7 +228,8 @@ def test_obs_store_write_read(tmp_path):
         for _ in range(50):
             store.get_run(run_id)
         record_secs = (time.perf_counter() - start) / 50
-    _record_bench(
+    record_bench(
+        BENCH_FILE,
         "store_io",
         {
             "events_in_report": EVENT_COUNT,

@@ -6,11 +6,10 @@ syscall dispatch) are visible.
 
 The ``pipeline`` group additionally persists its measurements to
 ``BENCH_pipeline.json`` at the repo root (single-thread events/sec,
-parse throughput, per-jobs scaling, streaming peak memory) so CI can
-archive the numbers per commit.
+parse and decode throughput, streaming peak memory) so CI can archive
+the numbers per commit.
 """
 
-import json
 import os
 import time
 import tracemalloc
@@ -18,7 +17,6 @@ import tracemalloc
 import pytest
 
 from repro.core import IOCov
-from repro.parallel import run_sharded
 from repro.trace.batch import make_batch_parser
 from repro.trace.binary import convert_file, iter_rbt_batches
 from repro.trace.events import make_event
@@ -28,8 +26,10 @@ from repro.vfs import constants as C
 from repro.vfs.filesystem import FileSystem
 from repro.vfs.syscalls import SyscallInterface
 
+from benchmarks.bench_record import bench_path, committed_bench, record_bench
+
 #: Where the pipeline measurements land (repo root, CI-archived).
-BENCH_FILE = os.path.join(os.path.dirname(__file__), "..", "BENCH_pipeline.json")
+BENCH_FILE = bench_path("pipeline")
 
 #: Pre-PR single-thread analyzer throughput on this benchmark's event
 #: mix (events/sec, reference machine) — kept for historical context;
@@ -40,19 +40,6 @@ PRE_PR_REFERENCE_EPS = 249_876
 #: measured throughput must stay within this fraction of the committed
 #: BENCH_pipeline.json value.
 GATE_FRACTION = 0.9
-
-
-def _committed_bench(key: str, field: str):
-    """The committed BENCH_pipeline.json value, read before overwrite."""
-    if not os.path.exists(BENCH_FILE):
-        return None
-    with open(BENCH_FILE) as handle:
-        try:
-            document = json.load(handle)
-        except ValueError:
-            return None
-    value = document.get(key, {}).get(field)
-    return value if isinstance(value, (int, float)) and value > 0 else None
 
 
 def _gate(measured: float, committed, what: str) -> None:
@@ -66,22 +53,6 @@ def _gate(measured: float, committed, what: str) -> None:
         f"{what} regressed: {measured:,.0f} ev/s < {GATE_FRACTION:.0%} of "
         f"committed {committed:,.0f} ev/s"
     )
-
-
-def _record_bench(key: str, payload: dict) -> None:
-    """Merge one measurement into BENCH_pipeline.json."""
-    document = {}
-    if os.path.exists(BENCH_FILE):
-        with open(BENCH_FILE) as handle:
-            try:
-                document = json.load(handle)
-            except ValueError:
-                document = {}
-    document[key] = payload
-    document["pre_pr_reference_events_per_sec"] = PRE_PR_REFERENCE_EPS
-    with open(BENCH_FILE, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def _synthetic_events(count: int):
@@ -262,7 +233,8 @@ def test_pipeline_single_thread_speedup(pipeline_events):
 
     count = len(pipeline_events)
     speedup = legacy_secs / current_secs
-    _record_bench(
+    record_bench(
+        BENCH_FILE,
         "single_thread",
         {
             "events": count,
@@ -270,6 +242,7 @@ def test_pipeline_single_thread_speedup(pipeline_events):
             "current_events_per_sec": round(count / current_secs),
             "speedup_vs_legacy": round(speedup, 2),
         },
+        pre_pr_reference_events_per_sec=PRE_PR_REFERENCE_EPS,
     )
     assert speedup >= 2.0, f"single-thread speedup {speedup:.2f}x < 2x"
 
@@ -283,7 +256,7 @@ def test_pipeline_parse_throughput(pipeline_trace):
     :data:`GATE_FRACTION` of the committed number (read before this
     run overwrites it).
     """
-    committed = _committed_bench("parse", "batch_events_per_sec")
+    committed = committed_bench(BENCH_FILE, "parse", "batch_events_per_sec")
 
     # Best-of-3 on both sides: the gated quantity must not swing with
     # scheduler noise on shared runners.
@@ -310,7 +283,8 @@ def test_pipeline_parse_throughput(pipeline_trace):
     legacy_eps = legacy / legacy_secs
     batch_eps = batched / batch_secs
     speedup = batch_eps / legacy_eps
-    _record_bench(
+    record_bench(
+        BENCH_FILE,
         "parse",
         {
             "events": batched,
@@ -319,6 +293,7 @@ def test_pipeline_parse_throughput(pipeline_trace):
             "events_per_sec": round(batch_eps),
             "speedup_batch_vs_legacy": round(speedup, 2),
         },
+        pre_pr_reference_events_per_sec=PRE_PR_REFERENCE_EPS,
     )
     assert speedup >= 2.0, f"batch parse speedup {speedup:.2f}x < 2x"
     _gate(batch_eps, committed, "batch text parse")
@@ -332,7 +307,7 @@ def test_pipeline_binary_throughput(pipeline_trace, tmp_path_factory):
     same run, so the claim "ingest no longer bottlenecks analysis"
     holds on any machine this runs on.
     """
-    committed = _committed_bench("binary", "decode_events_per_sec")
+    committed = committed_bench(BENCH_FILE, "binary", "decode_events_per_sec")
     rbt_path = str(tmp_path_factory.mktemp("pipeline") / "pipeline.rbt")
     info = convert_file(pipeline_trace, rbt_path, "lttng")
     assert info["events"] == 200_000
@@ -364,7 +339,8 @@ def test_pipeline_binary_throughput(pipeline_trace, tmp_path_factory):
 
     decode_eps = decoded / decode_secs
     analyze_eps = len(rows) / analyze_secs
-    _record_bench(
+    record_bench(
+        BENCH_FILE,
         "binary",
         {
             "events": decoded,
@@ -374,131 +350,13 @@ def test_pipeline_binary_throughput(pipeline_trace, tmp_path_factory):
             "text_bytes": os.path.getsize(pipeline_trace),
             "rbt_bytes": os.path.getsize(rbt_path),
         },
+        pre_pr_reference_events_per_sec=PRE_PR_REFERENCE_EPS,
     )
     assert decode_eps >= analyze_eps, (
         f"binary decode {decode_eps:,.0f} ev/s slower than analysis "
         f"{analyze_eps:,.0f} ev/s"
     )
     _gate(decode_eps, committed, "binary decode")
-
-
-def _worker_startup_seconds():
-    """Cost of standing up one pool worker (the pool-skip rationale)."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else None)
-    start = time.perf_counter()
-    try:
-        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            pool.submit(int, 0).result()
-    except (OSError, PermissionError):
-        return None
-    return time.perf_counter() - start
-
-
-def test_pipeline_jobs_scaling(pipeline_trace):
-    """Wall-clock per jobs count over the persistent pool.
-
-    The numbers always land in BENCH_pipeline.json — including
-    ``cpus``, so the committed value is never mistaken for a scaling
-    measurement taken on hardware that cannot scale — and the 2.0x
-    bound is enforced (or loudly skipped) depending on the core count.
-    A warm-up run pays the pool's one-time cold start first: the
-    committed ratio describes the steady state every call after the
-    first one sees, which is the whole point of spawn-once workers.
-    Alongside the timings, the run records *how* each jobs count
-    actually executed (CPU clamp, pool skip, sequential fallback,
-    pool warm/cold) and the measured per-worker startup cost — the
-    inputs to the executor's pool-skip heuristic.
-    """
-    from repro.parallel.pool import get_pool, pool_is_warm, shutdown_pool
-
-    shutdown_pool()
-    cold_stats: dict = {}
-    run_sharded(
-        pipeline_trace, fmt="lttng", jobs=4, mount_point="/mnt/test",
-        suite_name="warmup", stats=cold_stats,
-    )
-    warm_acquire = None
-    if pool_is_warm():
-        # The warm-reuse acceptance bar: a second acquisition must be
-        # a lock grab (< 1 ms), not an ~18 ms/worker process launch.
-        start = time.perf_counter()
-        get_pool(1)
-        warm_acquire = time.perf_counter() - start
-        assert warm_acquire < 0.001, (
-            f"warm pool acquire took {warm_acquire * 1e3:.2f} ms"
-        )
-    timings = {}
-    reports = {}
-    stats_by_jobs = {}
-    for jobs in (1, 2, 4):
-        stats: dict = {}
-        start = time.perf_counter()
-        reports[jobs] = run_sharded(
-            pipeline_trace,
-            fmt="lttng",
-            jobs=jobs,
-            mount_point="/mnt/test",
-            suite_name="scaling",
-            stats=stats,
-        )
-        timings[jobs] = time.perf_counter() - start
-        stats_by_jobs[str(jobs)] = {
-            "jobs_effective": stats.get("jobs_effective"),
-            "shards": stats.get("shards"),
-            "pool_skipped": stats.get("pool_skipped"),
-            "sequential_fallback": stats.get("sequential_fallback"),
-            "pool": stats.get("pool"),
-        }
-    # parity across jobs counts, always; regardless of which execution
-    # strategy (pool, clamped pool, skip, fallback) each count chose
-    assert reports[2].to_dict() == reports[1].to_dict()
-    assert reports[4].to_dict() == reports[1].to_dict()
-    # never again the measured pre-PR regression: more workers must not
-    # cost meaningful wall-clock vs one worker on any machine.  On boxes
-    # where the CPU clamp folds both runs onto the same sequential path
-    # the residual difference is scheduler noise, hence the loose bound;
-    # the structural guards (clamp, pool skip) are asserted via stats in
-    # tests/parallel/test_batch_pipeline.py.
-    assert timings[4] <= timings[1] * 1.5, (
-        f"--jobs 4 ({timings[4]:.2f}s) slower than --jobs 1 ({timings[1]:.2f}s)"
-    )
-    cpus = os.cpu_count() or 1
-    startup = _worker_startup_seconds()
-    fallbacks = sum(
-        1 for s in stats_by_jobs.values() if s["sequential_fallback"]
-    )
-    _record_bench(
-        "jobs_scaling",
-        {
-            "cpus": cpus,
-            "events": 200_000,
-            "seconds_by_jobs": {str(j): round(t, 3) for j, t in timings.items()},
-            "speedup_4_vs_1": round(timings[1] / timings[4], 2),
-            "stats_by_jobs": stats_by_jobs,
-            "sequential_fallback_rate": round(fallbacks / len(stats_by_jobs), 2),
-            "worker_startup_seconds": (
-                round(startup, 4) if startup is not None else None
-            ),
-            "pool_cold_start_seconds": (
-                cold_stats.get("pool", {}) or {}
-            ).get("cold_start_seconds"),
-            "pool_warm_acquire_seconds": (
-                round(warm_acquire, 6) if warm_acquire is not None else None
-            ),
-        },
-    )
-    if cpus < 4:
-        pytest.skip(
-            f"jobs-scaling ratio needs >= 4 CPUs, found {cpus}: timings "
-            "recorded to BENCH_pipeline.json, speedup gate NOT enforced"
-        )
-    assert timings[1] / timings[4] >= 2.0, (
-        f"--jobs 4 speedup {timings[1] / timings[4]:.2f}x < 2.0x"
-    )
 
 
 def test_pipeline_streaming_memory(pipeline_trace):
@@ -516,13 +374,15 @@ def test_pipeline_streaming_memory(pipeline_trace):
     _, streaming_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
-    _record_bench(
+    record_bench(
+        BENCH_FILE,
         "streaming_memory",
         {
             "events": 200_000,
             "materialized_peak_bytes": eager_peak,
             "streaming_peak_bytes": streaming_peak,
         },
+        pre_pr_reference_events_per_sec=PRE_PR_REFERENCE_EPS,
     )
     assert streaming_peak < eager_peak / 4, (
         f"streaming peak {streaming_peak} not O(chunk) vs {eager_peak}"

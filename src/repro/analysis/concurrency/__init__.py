@@ -1,11 +1,11 @@
 """Static concurrency analysis: ``repro lint --concurrency``.
 
 Builds an AST lock model over a set of python sources (by default the
-concurrent subsystems: ``repro/obs/`` and ``repro/parallel/``) and
-runs four detector families — lock-order cycles, leaked explicit
-acquires, LockDoc-style unguarded field accesses, and blocking calls
-under a held lock — reporting through the shared
-:class:`repro.analysis.findings.AnalysisReport` machinery.
+concurrent subsystem, ``repro/obs/``) and runs four detector families —
+lock-order cycles, leaked explicit acquires, LockDoc-style unguarded
+field accesses, and blocking calls under a held lock — reporting
+through the shared :class:`repro.analysis.findings.AnalysisReport`
+machinery.
 
 Findings can be silenced with ``# lint: allow(<rule>)`` comments at
 the flagged line (see :mod:`repro.analysis.suppress`) or accepted

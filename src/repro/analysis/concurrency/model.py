@@ -204,7 +204,7 @@ def load_repo_sources(
 
     root = Path(repro.__file__).resolve().parent
     if targets is None:
-        targets = ("obs", "parallel")
+        targets = ("obs",)
     sources: dict[str, str] = {}
     for target in targets:
         path = root if target in (".", "") else root / target

@@ -35,7 +35,7 @@ Examples::
 
     python -m repro analyze --format strace capture.log --mount /mnt/test
     python -m repro analyze trace.lttng.txt --json > coverage.json
-    python -m repro analyze trace.lttng.txt --jobs 0 --store runs.sqlite
+    python -m repro analyze trace.lttng.txt --store runs.sqlite
     python -m repro compare a.lttng.txt b.lttng.txt --syscall open --arg flags
     python -m repro suites --suite crashmonkey --scale 1.0 --seed 7
     python -m repro bugstudy
@@ -68,7 +68,7 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 
-#: Text trace formats (what parsers, workers, and the daemon accept).
+#: Text trace formats (what the parsers and the daemon accept).
 _TEXT_FORMATS = ("lttng", "strace", "syzkaller")
 
 _FORMAT_READERS = {
@@ -122,55 +122,13 @@ def _emit_json(command: str, exit_code: int, payload: dict) -> int:
 # -- subcommand handlers --------------------------------------------------------
 
 
-def _warn_degraded_jobs(requested: int | None, stats: dict) -> None:
-    """Tell the user when an explicit ``--jobs N`` silently degraded.
-
-    The bench history shows ``shards: 1`` at ``--jobs 4`` with no
-    user-visible signal; this puts the reason on stderr.  Auto mode
-    (``--jobs 0``) adapts by design, so only explicit requests warn.
-    """
-    if not requested or requested < 2:
-        return
-    reason = stats.get("degrade_reason")
-    if reason is None:
-        return
-    effective = stats.get("jobs_effective")
-    shards = stats.get("shards")
-    detail = {
-        "cpu_clamp": f"only {effective} CPU(s) available",
-        "small_file": "the trace is too small to split",
-        "min_shard_events": "too few events to amortize the worker pool",
-    }.get(reason, reason)
-    print(
-        f"repro analyze: --jobs {requested} degraded to "
-        f"{shards} shard(s): {detail}",
-        file=sys.stderr,
-    )
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     name = args.name or args.trace
     fmt = args.format or _guess_format(args.trace)
-    shard_stats: dict = {}
-    parse_stats: dict | None = None
+    if args.jobs is not None:
+        print("repro analyze: --jobs has no effect", file=sys.stderr)
     started = time.monotonic()
-    if args.jobs is not None and fmt != "rbt":
-        from repro.parallel import run_sharded
-
-        report = run_sharded(
-            args.trace,
-            fmt=fmt,
-            jobs=args.jobs or None,  # 0 = auto (one worker per CPU)
-            mount_point=args.mount,
-            suite_name=name,
-            stats=shard_stats,
-        )
-        parse_stats = shard_stats.get("parse")
-        _warn_degraded_jobs(args.jobs, shard_stats)
-    else:
-        # Binary traces decode so fast that sharding has nothing to
-        # win; --jobs is accepted but the serial reader runs.
-        report, parse_stats = _load_report(args.trace, fmt, args.mount, name)
+    report, parse_stats = _load_report(args.trace, fmt, args.mount, name)
     wall_seconds = time.monotonic() - started
     run_id = None
     if args.store:
@@ -183,25 +141,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 trace_format=fmt,
                 jobs=args.jobs,
                 wall_seconds=wall_seconds,
-                meta=shard_stats or None,
             )
     if args.json:
         payload = report.to_dict()
         if parse_stats is not None:
             payload["parse"] = parse_stats
-        if shard_stats:
-            # How the parallel run actually executed — requested vs
-            # effective workers, pool warm/cold state, and why the
-            # topology degraded, if it did.
-            payload["jobs"] = {
-                "requested": shard_stats.get("jobs_requested"),
-                "effective": shard_stats.get("jobs_effective"),
-                "shards": shard_stats.get("shards"),
-                "pool": shard_stats.get("pool"),
-                "pool_skipped": shard_stats.get("pool_skipped"),
-                "sequential_fallback": shard_stats.get("sequential_fallback"),
-                "degrade_reason": shard_stats.get("degrade_reason"),
-            }
         if args.suggest:
             from repro.core.suggestions import suggest_tests
 
@@ -560,7 +504,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             tenant=args.tenant,
             project=args.project,
-            analysis_workers=args.analysis_workers,
         )
     except StoreLockError as exc:
         print(f"serve: {exc}", file=sys.stderr)
@@ -826,8 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="analyze with N parallel shard workers (results are "
-        "bit-identical to the serial path); 0 = one per CPU",
+        help="no effect; kept for compatibility (analysis is one serial "
+        "pass)",
     )
     analyze.add_argument("--json", action="store_true", help="dump JSON")
     analyze.add_argument("--syscall", help="print one syscall's tables")
@@ -1015,15 +958,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="max malformed-line fraction before the session degrades",
-    )
-    serve.add_argument(
-        "--analysis-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="offload trace parsing to N persistent worker processes "
-        "(namespace→worker affinity preserves per-session ordering); "
-        "omitted = parse in-process",
     )
     serve.set_defaults(handler=cmd_serve)
 

@@ -31,16 +31,17 @@ leaves the same counts in the same order as crediting event by event.
 Test suites repeat the same calls, so a batch of tens of thousands of
 events reduces to hundreds of shapes.
 
-Two properties matter for scale (see :mod:`repro.parallel`):
+Two properties matter for scale:
 
 * **streaming** — :meth:`IOCov.consume` pulls from any iterable (a
   parser generator such as ``LttngParser().iter_parse_file(path)``
   works), and the ``consume_*_file`` readers parse chunk by chunk, so
-  a multi-GB trace never materializes in memory;
+  a multi-GB trace never materializes in memory.  One serial pass is
+  the only reader: a trace analyzed more than once is converted to
+  ``.rbt`` (``repro convert``), which decodes faster than text parses;
 * **mergeability** — :meth:`IOCov.merge` folds the state of another
-  analyzer in exactly (all underlying tallies are sums), so N shards
-  consumed independently combine into a result bit-identical to one
-  sequential pass.
+  analyzer in exactly (all underlying tallies are sums); a campaign
+  folds each round's counts into its cumulative coverage this way.
 """
 
 from __future__ import annotations
@@ -316,11 +317,11 @@ class IOCov:
 
         Exact: every underlying tally is a sum (partition counts, flag
         combinations, unclassified, untracked, event counters), so
-        merging N independently-consumed shards is bit-identical to one
-        sequential pass over the concatenated stream — *provided* the
-        shards were filtered equivalently (see :mod:`repro.parallel`
-        for the machinery that guarantees this for stateful mount-point
-        filters).  Filter state itself is not merged.
+        merging analyzers that consumed consecutive pieces of a stream
+        is bit-identical to one pass over the whole stream — *provided*
+        each piece was filtered as that pass would have filtered it
+        (the mount-point filter tracks per-pid fds).  Filter state
+        itself is not merged.
 
         Raises:
             ValueError: the analyzers use different registries.

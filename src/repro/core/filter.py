@@ -89,23 +89,7 @@ class TraceFilter:
                 self._scope_cache[path] = cached
         return cached
 
-    # -- fd-table introspection (used by the sharded fixup replay) -----------
-
-    def register_fd(self, pid: int, fd: int) -> None:
-        """Mark *fd* live for *pid*, as a matching open would."""
-        self._fds_for(pid).add(fd)
-
-    def retire_fd(self, pid: int, fd: int) -> None:
-        """Drop *fd* from *pid*'s live table, as a tracked close would."""
-        self._fds_for(pid).discard(fd)
-
     # -- event filtering ----------------------------------------------------
-
-    def _fds_for(self, pid: int) -> set[int]:
-        fds = self._live_fds.get(pid)
-        if fds is None:
-            fds = self._live_fds[pid] = set()
-        return fds
 
     def admit(self, event: SyscallEvent) -> bool:
         """Decide one event, updating fd-tracking state."""

@@ -49,8 +49,8 @@ class ArgCoverage:
         self._classify_cache: dict = {}
 
     def __getstate__(self) -> dict:
-        # The classify memo is derived state; shipping it between
-        # shard workers and the parent would waste IPC bandwidth.
+        # The classify memo is derived state; pickling it would only
+        # copy what the receiver rebuilds on demand.
         state = self.__dict__.copy()
         state["_classify_cache"] = {}
         return state
@@ -98,7 +98,7 @@ class ArgCoverage:
     # -- merging ------------------------------------------------------------
 
     def merge(self, other: "ArgCoverage") -> "ArgCoverage":
-        """Fold another shard's state into this one (exact: counts add).
+        """Fold another analyzer's state into this one (exact: counts add).
 
         Raises:
             ValueError: the two states track different arguments.
@@ -216,12 +216,12 @@ class InputCoverage:
     # -- merging ------------------------------------------------------------
 
     def merge(self, other: "InputCoverage") -> "InputCoverage":
-        """Fold another shard's input-coverage state into this one.
+        """Fold another analyzer's input-coverage state into this one.
 
         Exact by construction: per-partition counts, flag-combination
-        multisets, and unclassified tallies all add, so merging N
-        independently-consumed shards reproduces the single-pass state
-        bit for bit.
+        multisets, and unclassified tallies all add, so merging the
+        states of consecutive stream pieces reproduces the single-pass
+        state bit for bit.
 
         Raises:
             ValueError: the two states track different (syscall, arg)

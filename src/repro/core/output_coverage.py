@@ -61,7 +61,7 @@ class SyscallOutputCoverage:
     # -- merging ------------------------------------------------------------
 
     def merge(self, other: "SyscallOutputCoverage") -> "SyscallOutputCoverage":
-        """Fold another shard's state into this one (exact: counts add)."""
+        """Fold another analyzer's state into this one (exact: counts add)."""
         if self.syscall != other.syscall:
             raise ValueError(f"cannot merge {other.syscall} into {self.syscall}")
         self.counts.update(other.counts)
@@ -141,9 +141,9 @@ class OutputCoverage:
     # -- merging ------------------------------------------------------------
 
     def merge(self, other: "OutputCoverage") -> "OutputCoverage":
-        """Fold another shard's output-coverage state into this one.
+        """Fold another analyzer's output-coverage state into this one.
 
-        Exact: per-partition counts add, so shard merges reproduce the
+        Exact: per-partition counts add, so merges reproduce the
         single-pass state bit for bit.
 
         Raises:

@@ -44,7 +44,6 @@ from typing import Any
 from repro.core.analyzer import IOCov
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.store import DEFAULT_PROJECT, DEFAULT_TENANT, BaseRunStore
-from repro.parallel.pool import PoolError, WorkerPool
 from repro.trace.batch import EventBatch, make_batch_parser
 from repro.trace.binary import RbtError, decode_batch, encode_batch
 
@@ -101,111 +100,6 @@ def _chunk_text(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _PoolLineParser:
-    """Chunk parsing offloaded to a persistent worker pool.
-
-    The ``--analysis-workers`` engine: chunks are shipped (via the
-    pool's shared-memory handoff) to a worker pinned by namespace key,
-    where a persistent batch parser — pairing state and all — lives
-    for the session's lifetime.  Affinity keeps one namespace's chunks
-    on one worker in FIFO order, so cross-chunk entry/exit pairing is
-    exactly what the in-process parser would have computed, while
-    different namespaces parse on different cores — the GIL no longer
-    serializes tenants.
-
-    The offload is structured so the session's ``_lock`` is never held
-    across a pool wait: :meth:`submit`/:meth:`wait` run lock-free in
-    the ingest worker thread, and only :meth:`apply` (counter folding,
-    cheap) runs under the lock.
-
-    Failure containment: any pool error — or a worker *incarnation*
-    change, which means the namespace's resident parser state died
-    with a crashed worker — permanently reverts the session to inline
-    parsing (a fresh batch parser; counters carry over).  Entry/exit
-    pairs straddling the crash boundary may go unpaired, exactly as if
-    the stream had been restarted there.
-    """
-
-    def __init__(self, fmt: str, pool: WorkerPool, key: str) -> None:
-        self.fmt = fmt
-        self.malformed_lines = 0
-        self.unpaired_entries = 0
-        self._pool = pool
-        self._key = key
-        self._worker = pool.worker_for(key)
-        self._incarnation = pool.incarnation(self._worker)
-        self._inline = None
-
-    @property
-    def offloaded(self) -> bool:
-        """False once the session has reverted to inline parsing."""
-        return self._inline is None
-
-    def _fall_back(self) -> None:
-        if self._inline is None:
-            self._inline = make_batch_parser(self.fmt)
-
-    # -- phase 1: lock-free -----------------------------------------------------
-
-    def submit(self, lines: list[str]) -> tuple:
-        """Ship one chunk to the namespace's worker; returns a ticket."""
-        if self._inline is None:
-            try:
-                future = self._pool.submit_parse(
-                    self._key, self.fmt, _chunk_text(lines), worker=self._worker
-                )
-            except PoolError:
-                self._fall_back()
-            else:
-                return ("future", lines, future)
-        return ("inline", lines, None)
-
-    def wait(self, ticket: tuple) -> tuple:
-        """Block (no session lock held) until the chunk's result lands."""
-        kind, lines, future = ticket
-        if kind != "future":
-            return ticket
-        try:
-            answer = future.result(timeout=60.0)
-        except (PoolError, TimeoutError):
-            self._fall_back()
-            return ("inline", lines, None)
-        if answer[0] != self._incarnation:
-            # The worker restarted between rounds: the resident parser
-            # (and its pairing state) is gone.  The respawned worker
-            # *did* parse this chunk, but with a fresh parser — treat
-            # it like a stream restart and revert to inline.
-            self._fall_back()
-            return ("inline", lines, None)
-        return ("answer", lines, answer)
-
-    # -- phase 2: under the session lock ---------------------------------------
-
-    def apply(self, ticket: tuple) -> tuple[EventBatch | None, int, list[int]]:
-        """Fold one resolved ticket in; returns ``(batch, events, bad)``."""
-        kind, lines, answer = ticket
-        if kind == "inline":
-            inline = self._inline
-            before = inline.malformed_lines
-            rows = inline.parse_chunk(_chunk_text(lines))
-            self.malformed_lines += inline.malformed_lines - before
-            self.unpaired_entries = inline.unpaired_entries
-            batch = EventBatch.from_rows(rows) if rows else None
-            return batch, len(rows), inline.malformed_positions
-        _incarnation, encoded, nrows, bad, malformed, unpaired = answer
-        self.malformed_lines += malformed
-        self.unpaired_entries = unpaired
-        batch = decode_batch(encoded) if nrows else None
-        return batch, nrows, bad
-
-    def offload_stats(self) -> dict[str, Any]:
-        return {
-            "enabled": self._inline is None,
-            "worker": self._worker,
-            "incarnation": self._incarnation,
-        }
-
-
 class IngestSession:
     """A live trace-ingestion session feeding one :class:`IOCov`.
 
@@ -223,14 +117,12 @@ class IngestSession:
             across sessions — samples carry tenant/project labels).
         tenant: namespace tenant for journal/store/metric scoping.
         project: namespace project.
-        pool: persistent :class:`~repro.parallel.pool.WorkerPool` to
-            offload chunk parsing to (the ``--analysis-workers`` mode);
-            None keeps parsing in-process.
 
     Attributes:
-        parser: the batch parser (or its pool-offloaded stand-in);
-            ``malformed_lines`` and ``unpaired_entries`` are the
-            session's parse counters.
+        parser: the batch parser; ``malformed_lines`` and
+            ``unpaired_entries`` are the session's parse counters.
+        journal_record_corrupt: binary journal records that
+            :meth:`recover` could not decode and skipped.
     """
 
     def __init__(
@@ -247,7 +139,6 @@ class IngestSession:
         registry: MetricsRegistry | None = None,
         tenant: str = DEFAULT_TENANT,
         project: str = DEFAULT_PROJECT,
-        pool: WorkerPool | None = None,
     ) -> None:
         self.fmt = fmt
         self.mount_point = mount_point
@@ -262,11 +153,7 @@ class IngestSession:
         self._labels = {"tenant": tenant, "project": project}
         self._ns = {"tenant": tenant, "project": project}
         self.iocov = IOCov(mount_point=mount_point, suite_name=suite_name)
-        self.parser = (
-            _PoolLineParser(fmt, pool, key=f"{tenant}/{project}")
-            if pool is not None
-            else make_batch_parser(fmt)
-        )
+        self.parser = make_batch_parser(fmt)
         self.quarantine: list[Quarantined] = []
         self.degraded = False
         self.closed = False
@@ -274,6 +161,7 @@ class IngestSession:
         self.events_counted = 0
         self.batches_received = 0
         self.runs_stored = 0
+        self.journal_record_corrupt = 0
         self._lock = threading.Lock()  # guards iocov + counters
         #: producers serialize whole requests on this so interleaved
         #: chunked POSTs cannot shuffle each other's partial lines
@@ -366,50 +254,28 @@ class IngestSession:
         Items are consumed strictly in queue order — a binary frame
         between two text chunks counts exactly where it arrived, so fd
         state evolves as it would have in one sequential stream.
-
-        With a pool-offloaded parser the round is two-phase: every text
-        chunk is submitted to (and collected from) the namespace's
-        pinned worker *before* the session lock is taken — readers of
-        ``/live`` never wait on a parse — and only the cheap counter
-        folding and batch counting run under the lock.
         """
         started = time.perf_counter()
         n_lines = 0
         n_events = 0
         malformed: list[Quarantined] = []
         parser = self.parser
-        tickets: list[tuple | None] | None = None
-        if isinstance(parser, _PoolLineParser):
-            # Submit every chunk first (they queue FIFO on the affinity
-            # worker, which parses chunk k while we ship chunk k+1),
-            # then wait — all without the session lock.
-            tickets = [
-                parser.submit(item) if isinstance(item, list) else None
-                for item in items
-            ]
-            tickets = [t if t is None else parser.wait(t) for t in tickets]
         with self._lock:
-            for position, item in enumerate(items):
+            for item in items:
                 if isinstance(item, EventBatch):
                     self.iocov.consume_batch(item)
                     self.batches_received += 1
                     n_events += len(item)
                     continue
                 base = self.lines_received
-                if tickets is not None:
-                    batch, n_rows, bad_positions = parser.apply(tickets[position])
-                else:
-                    rows = parser.parse_chunk(_chunk_text(item))
-                    bad_positions = parser.malformed_positions
-                    batch = EventBatch.from_rows(rows) if rows else None
-                    n_rows = len(rows)
+                rows = parser.parse_chunk(_chunk_text(item))
                 n_lines += len(item)
                 self.lines_received += len(item)
-                for index in bad_positions:
+                for index in parser.malformed_positions:
                     malformed.append(Quarantined(base + index + 1, item[index]))
-                if batch is not None:
-                    self.iocov.consume_batch(batch)
-                    n_events += n_rows
+                if rows:
+                    self.iocov.consume_batch(EventBatch.from_rows(rows))
+                    n_events += len(rows)
             self.events_counted += n_events
             if malformed:
                 space = QUARANTINE_CAP - len(self.quarantine)
@@ -564,14 +430,8 @@ class IngestSession:
         with self._space:
             depth = self._pending_lines
         with self._lock:
-            offload = (
-                self.parser.offload_stats()
-                if isinstance(self.parser, _PoolLineParser)
-                else None
-            )
             return {
                 "format": self.fmt,
-                "analysis_offload": offload,
                 "suite": self.suite_name,
                 "tenant": self.tenant,
                 "project": self.project,
@@ -585,6 +445,7 @@ class IngestSession:
                 "error_budget": self.error_budget,
                 "queue_depth": max(depth, 0),
                 "runs_stored": self.runs_stored,
+                "journal_record_corrupt": self.journal_record_corrupt,
                 "quarantine": [item.to_dict() for item in self.quarantine[:20]],
             }
 
@@ -594,14 +455,15 @@ class IngestSession:
         """Replay the store's journal into this (fresh) session.
 
         Returns the number of journal lines replayed.  Lines are *not*
-        re-journaled — they are already durable.
+        re-journaled — they are already durable.  A binary record that
+        fails to decode loses only itself: it is counted in
+        :attr:`journal_record_corrupt`, not in the returned number.
         """
         if self.store is None:
             return 0
         replayed = 0
         batch: list[str] = []
         for line in self.store.journal_lines(self.journal_session, **self._ns):
-            replayed += 1
             if line.startswith(RBT_JOURNAL_PREFIX):
                 # Binary frame: flush buffered text first so replay
                 # order matches arrival order, then decode and enqueue.
@@ -614,9 +476,13 @@ class IngestSession:
                     )
                     frame = decode_batch(payload)
                 except (binascii.Error, RbtError):
-                    continue  # a corrupt journal record loses only itself
+                    with self._lock:
+                        self.journal_record_corrupt += 1
+                    continue
+                replayed += 1
                 self.feed_batch(frame, journal=False)
                 continue
+            replayed += 1
             batch.append(line)
             if len(batch) >= WORKER_ROUND_LINES:
                 self.feed_lines(batch, journal=False)

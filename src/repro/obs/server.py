@@ -58,7 +58,6 @@ from typing import Any
 
 from repro.obs.ingest import IngestSession, SessionDegradedError
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.pool import PoolUnavailableError, WorkerPool
 from repro.obs.store import (
     DEFAULT_PROJECT,
     DEFAULT_TENANT,
@@ -302,17 +301,12 @@ class ObsServer(HTTPServer):
         workers: int = DEFAULT_WORKERS,
         conn_queue: int = DEFAULT_CONN_QUEUE,
         conn_timeout: float = DEFAULT_CONN_TIMEOUT,
-        analysis_pool: WorkerPool | None = None,
     ) -> None:
         super().__init__(address, ObsRequestHandler)
         self._old_switch_interval = sys.getswitchinterval()
         sys.setswitchinterval(INGEST_SWITCH_INTERVAL)
         self.tenants = tenants
         self.store = store
-        #: the daemon's own analysis pool (``--analysis-workers``); a
-        #: dedicated instance, not the process-global one, so closing
-        #: the daemon never tears down a concurrent ``run_sharded``.
-        self.analysis_pool = analysis_pool
         self.conn_timeout = conn_timeout
         self.draining = False
         self.drained = threading.Event()
@@ -390,9 +384,6 @@ class ObsServer(HTTPServer):
         super().server_close()
         self._stop_workers()
         sys.setswitchinterval(self._old_switch_interval)
-        if self.analysis_pool is not None:
-            self.analysis_pool.shutdown()
-            self.analysis_pool = None
         if self._store_lock is not None:
             self._store_lock.release()
             self._store_lock = None
@@ -541,11 +532,6 @@ class ObsRequestHandler(BaseHTTPRequestHandler):
                     "draining": self.server.draining,
                     "tenants": len({s.tenant for s in sessions}),
                     "sessions": len(sessions),
-                    "analysis_workers": (
-                        self.server.analysis_pool.workers
-                        if self.server.analysis_pool is not None
-                        else 0
-                    ),
                 },
             )
         elif path == "/runs":
@@ -735,7 +721,6 @@ def make_server(
     conn_timeout: float = DEFAULT_CONN_TIMEOUT,
     tenant: str = DEFAULT_TENANT,
     project: str = DEFAULT_PROJECT,
-    analysis_workers: int | None = None,
 ) -> tuple[ObsServer, int]:
     """Build the daemon; returns ``(server, journal_lines_recovered)``.
 
@@ -745,24 +730,9 @@ def make_server(
     resumes from its durable state.  *tenant*/*project* set the default
     namespace that unprefixed routes map to.
 
-    *analysis_workers* starts a dedicated persistent worker pool and
-    offloads every session's chunk parsing to it (namespace→worker
-    affinity preserves per-session ordering); on platforms that cannot
-    start subprocesses the daemon warns and runs in-process.
-
     Raises:
         StoreLockError: another live daemon holds this store.
     """
-    analysis_pool: WorkerPool | None = None
-    if analysis_workers is not None and analysis_workers >= 1:
-        try:
-            analysis_pool = WorkerPool(analysis_workers, name="iocovobs")
-        except PoolUnavailableError as exc:
-            print(
-                f"repro serve: analysis workers unavailable ({exc}); "
-                "parsing stays in-process",
-                file=sys.stderr,
-            )
     store_lock: _StoreLock | None = None
     store: BaseRunStore | None = None
     if store_path:
@@ -774,16 +744,12 @@ def make_server(
             )
         except BaseException:
             store_lock.release()
-            if analysis_pool is not None:
-                analysis_pool.shutdown()
             raise
     session_kwargs: dict[str, Any] = {}
     if queue_size is not None:
         session_kwargs["queue_size"] = queue_size
     if error_budget is not None:
         session_kwargs["error_budget"] = error_budget
-    if analysis_pool is not None:
-        session_kwargs["pool"] = analysis_pool
     tenants = TenantManager(
         fmt=fmt,
         mount_point=mount_point,
@@ -816,6 +782,5 @@ def make_server(
         workers=workers,
         conn_queue=conn_queue,
         conn_timeout=conn_timeout,
-        analysis_pool=analysis_pool,
     )
     return server, recovered

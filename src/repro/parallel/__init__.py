@@ -1,68 +1,26 @@
-"""Parallel sharded trace analysis with exact sequential parity.
+"""Deprecated names the benchmark harness imports; nothing runs in parallel."""
 
-The scale story for the analyzer: a trace file is split into
-line-aligned byte spans, each span is analyzed independently (own
-process, own parser, own shard-local filter), and the per-shard
-coverage states are stitched and merged into a report bit-identical
-to a single sequential pass — the merge is exact because every
-coverage tally is a sum, and the stateful parts (mount-point fd
-tracking, LTTng entry/exit pairing) are reconciled by a replay of the
-small cross-shard residue each worker reports.
+import warnings
 
-Since the persistent-pool rework, fan-out runs on a **spawn-once
-worker pool** (:mod:`repro.parallel.pool`) shared by every
-``run_sharded`` call in the process *and* by the obs daemon's
-``--analysis-workers`` parse offload: workers stay warm, shard spans
-and result blobs travel through shared memory instead of the pool's
-pickle pipes, and a pipelined reader thread overlaps span I/O with
-worker parsing and with stream-merging of completed shards.
+from repro.core.analyzer import IOCov
+from repro.core.report import CoverageReport
 
-Entry points:
 
-* :func:`run_sharded` — file in, report out, ``jobs`` workers.
-* ``repro analyze --jobs N`` — the same, from the command line.
-* :func:`get_pool` / :class:`WorkerPool` — the persistent runtime.
-"""
+def run_sharded(path: str, *, fmt: str = "lttng", jobs: int | None = None,
+                mount_point: str | None = None, suite_name: str | None = None,
+                stats: dict | None = None) -> CoverageReport:
+    """Deprecated: the serial ``IOCov.consume_<fmt>_file`` pass; *jobs* is ignored.
 
-from repro.parallel.executor import (
-    ShardAmbiguityError,
-    run_sharded,
-    tree_merge,
-)
-from repro.parallel.pool import (
-    PoolError,
-    PoolUnavailableError,
-    WorkerCrashError,
-    WorkerPool,
-    get_pool,
-    pool_is_warm,
-    shutdown_pool,
-)
-from repro.parallel.shardfilter import ShardFilter
-from repro.parallel.sharding import iter_span_lines, shard_spans
-from repro.parallel.worker import (
-    ShardResult,
-    ShardTask,
-    analyze_shard,
-    analyze_shard_data,
-)
-
-__all__ = [
-    "PoolError",
-    "PoolUnavailableError",
-    "ShardAmbiguityError",
-    "ShardFilter",
-    "ShardResult",
-    "ShardTask",
-    "WorkerCrashError",
-    "WorkerPool",
-    "analyze_shard",
-    "analyze_shard_data",
-    "get_pool",
-    "iter_span_lines",
-    "pool_is_warm",
-    "run_sharded",
-    "shard_spans",
-    "shutdown_pool",
-    "tree_merge",
-]
+    Fills *stats* with ``jobs_requested``, ``jobs_effective=1``, ``shards=1``
+    and ``parse``.  Deleted by ROADMAP item 1's ``[benchmark]`` change.
+    """
+    warnings.warn("run_sharded runs the serial reader; use IOCov.consume_<fmt>_file",
+                  DeprecationWarning, stacklevel=2)
+    iocov = IOCov(mount_point=mount_point, suite_name=path if suite_name is None else suite_name)
+    reader = getattr(iocov, f"consume_{fmt}_file", None)
+    if reader is None:
+        raise ValueError(f"unknown trace format: {fmt!r}")
+    reader(path)
+    if stats is not None:
+        stats.update(jobs_requested=jobs, jobs_effective=1, shards=1, parse=iocov.parse_stats)
+    return iocov.report()

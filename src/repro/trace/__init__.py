@@ -8,8 +8,8 @@ Capture paths into the IOCov analyzer:
   :class:`LttngBatchParser`, :class:`StraceBatchParser`,
   :class:`SyzkallerBatchParser`) parsing chunk at a time into
   :class:`EventBatch` rows.  It is the only chunk parser: file reads,
-  ``.rbt`` conversion, strace/syzkaller shard workers and live ingest
-  all run it, and it reports the positions of malformed lines itself;
+  ``.rbt`` conversion and live ingest all run it, and it reports the
+  positions of malformed lines itself;
 * the per-line grammars (:class:`LttngParser`, :class:`StraceParser`,
   :class:`SyzkallerParser`) are the batch parsers' fallback for chunks
   their strict regexes decline, and the reference the tests compare

@@ -21,17 +21,16 @@ by working on **event batches**:
   quarantine bad input learn the positions from the same single parse.
 
 These are the only chunk parsers: every text ingest path
-(``consume_*_file``, ``convert_file``, the sharded strace/syzkaller
-workers, the live ingest session) runs one, and every text path ends
-a line at ``\n`` only.
+(``consume_*_file``, ``convert_file``, the live ingest session) runs
+one, and every text path ends a line at ``\n`` only.
 
 Throughput notes: the chunk grammars validate all structure inside the
 regex engine (one C call per chunk), field/argument parsing is memoized
-on the part strings that repeat across a trace (``flags = 577``,
-``AT_FDCWD``), and each event costs one tuple append instead of a
-dataclass construction.  For LTTng, an entry followed by its own exit
-is one ``findall`` match that bypasses the pairing table, and each
-parser parses a repeated field block once (see
+per parser on the part strings that repeat across a trace
+(``flags = 577``, ``AT_FDCWD``), and each event costs one tuple append
+instead of a dataclass construction.  For LTTng, an entry followed by
+its own exit is one ``findall`` match that bypasses the pairing table,
+and each parser parses a repeated field block once (see
 :meth:`~repro.trace.lttng.LttngParser.entry_fields`).
 """
 
@@ -40,8 +39,14 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, Iterator
 
-from repro.trace.events import SyscallEvent, event_from_row, event_row, split_lines
-from repro.trace.lttng import LttngParser, _WRITER_RE_M, _ts_ns, pair_row
+from repro.trace.events import (
+    CappedMemo,
+    SyscallEvent,
+    event_from_row,
+    event_row,
+    split_lines,
+)
+from repro.trace.lttng import LttngParser, _WRITER_RE_M, pair_row
 from repro.trace.strace import (
     _CALL_PATTERN as _STRACE_PATTERN,
     _CALL_RE as _STRACE_RE,
@@ -67,24 +72,15 @@ _ROW_FIELDS = ("name", "args", "retval", "errno", "pid", "comm", "timestamp")
 
 _MISS = object()
 
-#: Shared decimal-token -> int memo (pids, retvals repeat heavily).
-_INT_CACHE: dict[str, int] = {}
-_INT_CACHE_CAP = 65536
-
-
-def _cached_int(text: str) -> int:
-    value = _INT_CACHE.get(text)
-    if value is None:
-        value = int(text)
-        if len(_INT_CACHE) < _INT_CACHE_CAP:
-            _INT_CACHE[text] = value
-    return value
+#: Most decimal tokens (pids, retvals: they repeat heavily) one parser
+#: memoizes.
+_INT_MEMO_CAP = 65536
 
 
 def make_parse_stats(
     fmt: str, skipped: int, malformed: int, unpaired: int
 ) -> dict[str, Any]:
-    """Fixed-key-order parse statistics (serial/sharded byte parity)."""
+    """Fixed-key-order parse statistics (text/``.rbt`` byte parity)."""
     return {
         "format": fmt,
         "skipped_lines": skipped,
@@ -177,8 +173,8 @@ class EventBatch:
 def _read_chunks(path: str, chunk_chars: int) -> Iterator[str]:
     """Yield newline-aligned text chunks of roughly *chunk_chars*.
 
-    ``newline="\n"`` keeps a lone ``\r`` inside its line, as the
-    byte-level shard readers do.
+    ``newline="\n"`` keeps a lone ``\r`` inside its line, as a
+    byte-level reader does.
     """
     with open(path, encoding="utf-8", newline="\n") as handle:
         while True:
@@ -212,6 +208,7 @@ class LttngBatchParser:
         #: per-line fallback (and the skipped/malformed counters for
         #: lines the strict grammar declines).
         self._parser = LttngParser()
+        self._ints = CappedMemo(int, _INT_MEMO_CAP)
         self._pending: dict[tuple[int, str], list] = {}
         self.orphan_exits = 0
         self.events_parsed = 0
@@ -278,8 +275,8 @@ class LttngBatchParser:
         orphans_before = self.orphan_exits
         rows: list[Row] = []
         append = rows.append
-        ts_ns = _ts_ns
-        cached_int = _cached_int
+        ts_ns = self._parser.ts_memo
+        ints = self._ints
         entry_fields = self._parser.entry_fields
         singles = 0
         for ts, nsf, xname, xcomm, xpid, xret, ename, ecomm, epid, body, pcomm, pret in matches:
@@ -288,8 +285,8 @@ class LttngBatchParser:
                 fields = entry_fields(body)
                 if fields is None:
                     break
-                pid = cached_int(epid)
-                entry_ns = ts_ns(ts) + int(nsf)
+                pid = ints[epid]
+                entry_ns = ts_ns[ts] + int(nsf)
                 comm = ecomm
                 queue = pending.get((pid, ename))
                 if queue:
@@ -297,13 +294,13 @@ class LttngBatchParser:
                     # the exit pairs with it, first in first out.
                     queue.append((entry_ns, ecomm, fields))
                     entry_ns, comm, fields = queue.pop(0)
-                ret = cached_int(pret)
+                ret = ints[pret]
                 append((ename, fields, ret, -ret if ret < 0 else 0, pid, comm or pcomm, entry_ns))
                 continue
             singles += 1
             if xname:
                 # Exit line: ret was captured by the grammar.
-                key = (cached_int(xpid), xname)
+                key = (ints[xpid], xname)
                 queue = pending.get(key)
                 if not queue:
                     # Exit without entry: trace started mid-call; the
@@ -311,7 +308,7 @@ class LttngBatchParser:
                     self.orphan_exits += 1
                     continue
                 entry_ns, entry_comm, fields = queue.pop(0)
-                ret = cached_int(xret)
+                ret = ints[xret]
                 append(
                     (
                         xname,
@@ -327,9 +324,9 @@ class LttngBatchParser:
                 fields = entry_fields(body)
                 if fields is None:
                     break
-                key = (cached_int(epid), ename)
+                key = (ints[epid], ename)
                 queue = pending.get(key)
-                entry = (ts_ns(ts) + int(nsf), ecomm, fields)
+                entry = (ts_ns[ts] + int(nsf), ecomm, fields)
                 if queue is None:
                     pending[key] = [entry]
                 else:
@@ -399,10 +396,9 @@ _SYZ_DROP_KEYS = frozenset({"buf", "vec"})
 #: Positional fallback names, preallocated for the common arities.
 _ARGN = tuple(f"arg{i}" for i in range(16))
 
-#: strace argument-token -> parsed value memo (flag expressions,
+#: Most strace argument tokens one parser memoizes (flag expressions,
 #: AT_FDCWD, fds and modes repeat; values are immutable).
-_STRACE_ARG_CACHE: dict[str, Any] = {}
-_ARG_CACHE_CAP = 16384
+_ARG_MEMO_CAP = 16384
 
 #: Tokens in one strace argument list: maximal runs of quoted strings
 #: and non-comma text.  When joining the tokens back with "," exactly
@@ -441,18 +437,6 @@ def _fast_split_syz(text: str) -> list[str]:
     return _syz_split_args(text)
 
 
-def _strace_arg_value(token: str) -> Any:
-    if token and token[0] == '"' and "\\" not in token:
-        # Truncated-string ellipsis strip without the escape decoder.
-        return token[1 : token.rfind('"')]
-    value = _STRACE_ARG_CACHE.get(token, _MISS)
-    if value is _MISS:
-        value = _parse_arg(token)
-        if len(_STRACE_ARG_CACHE) < _ARG_CACHE_CAP:
-            _STRACE_ARG_CACHE[token] = value
-    return value
-
-
 class StraceBatchParser:
     """Chunk-mode strace parsing into :class:`EventBatch` rows."""
 
@@ -460,6 +444,8 @@ class StraceBatchParser:
 
     def __init__(self) -> None:
         self._parser = StraceParser()
+        self._ints = CappedMemo(int, _INT_MEMO_CAP)
+        self._args = CappedMemo(_parse_arg, _ARG_MEMO_CAP)
         self.events_parsed = 0
         #: see :attr:`LttngBatchParser.malformed_positions`
         self.malformed_positions: list[int] = []
@@ -512,16 +498,23 @@ class StraceBatchParser:
             if rows:
                 yield EventBatch.from_rows(rows)
 
+    def _arg_value(self, token: str) -> Any:
+        if token and token[0] == '"' and "\\" not in token:
+            # Truncated-string ellipsis strip without the escape decoder.
+            return token[1 : token.rfind('"')]
+        return self._args[token]
+
     def _row_from_groups(self, pid_s, ts, name, argstr, ret_s, errname) -> Row | None:
         if ret_s == "?":
             self._parser.skipped_lines += 1
             return None
         signature = SYSCALL_SIGNATURES.get(name)
         args: dict[str, Any] = {}
+        arg_value = self._arg_value
         if signature is None:
             for index, token in enumerate(_fast_split_strace(argstr)):
                 key = _ARGN[index] if index < 16 else f"arg{index}"
-                args[key] = _strace_arg_value(token)
+                args[key] = arg_value(token)
         else:
             sig_len = len(signature)
             for index, token in enumerate(_fast_split_strace(argstr)):
@@ -531,13 +524,13 @@ class StraceBatchParser:
                         continue
                 else:
                     key = _ARGN[index] if index < 16 else f"arg{index}"
-                args[key] = _strace_arg_value(token)
-        retval = _cached_int(ret_s)
+                args[key] = arg_value(token)
+        retval = self._ints[ret_s]
         err = 0
         if retval < 0:
             err = ERRNO_BY_NAME.get(errname, -retval) if errname else -retval
             retval = -err
-        pid = _cached_int(pid_s) if pid_s else 0
+        pid = self._ints[pid_s] if pid_s else 0
         return (name, args, retval, err, pid, "", 0)
 
     _consume_lines = _per_line_rows

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 
 @dataclass(frozen=True)
@@ -113,3 +113,26 @@ def split_lines(text: str) -> list[str]:
     if not lines[-1]:
         lines.pop()
     return lines
+
+
+class CappedMemo(dict):
+    """Token -> parsed value, memoized per parser.
+
+    Indexing a missing token computes its value, and keeps it while the
+    memo holds fewer than *cap* entries.  Each parser owns its memos, so
+    parsers in one process (the daemon's per-tenant sessions) share no
+    mutable state.
+    """
+
+    __slots__ = ("_compute", "_cap")
+
+    def __init__(self, compute: Callable[[str], Any], cap: int) -> None:
+        super().__init__()
+        self._compute = compute
+        self._cap = cap
+
+    def __missing__(self, token: str) -> Any:
+        value = self._compute(token)
+        if len(self) < self._cap:
+            self[token] = value
+        return value

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, Iterator, Mapping, TextIO
 
-from repro.trace.events import SyscallEvent, event_from_row, split_lines
+from repro.trace.events import CappedMemo, SyscallEvent, event_from_row, split_lines
 
 _NS_PER_SEC = 1_000_000_000
 
@@ -94,27 +94,21 @@ _WRITER_RE_M = re.compile(
 #: memo that stopped filling would lose it.
 _FIELD_MEMO_CAP = 1024
 
-#: "HH:MM:SS" -> nanoseconds-at-second-boundary.  Traces advance through
-#: at most 86 400 distinct wall-second labels per day, so this stays tiny.
-_TS_CACHE: dict[str, int] = {}
+#: Most "HH:MM:SS" labels one parser memoizes.  Traces advance through
+#: at most 86 400 distinct wall-second labels per day.
+_TS_MEMO_CAP = 65536
 
-#: "key = value" part -> (key, parsed value).  Field parts repeat
-#: heavily across a trace (``flags = 577``, ``mode = 420``, ``ret = 0``)
-#: while only path-carrying parts are unique, so a string-keyed memo
-#: removes almost all per-field parse work.  Values are ints / strings /
-#: None — immutable — so sharing them across events is safe.
-_PART_CACHE: dict[str, tuple[str, Any]] = {}
-_PART_CACHE_CAP = 16384
+#: Most "key = value" field parts one parser memoizes.  Field parts
+#: repeat heavily across a trace (``flags = 577``, ``mode = 420``) while
+#: only path-carrying parts are unique, so a string-keyed memo removes
+#: almost all per-field parse work.  Values are ints / strings / None —
+#: immutable — so sharing them across events is safe.
+_PART_MEMO_CAP = 16384
 
 
-def _ts_ns(hms: str) -> int:
-    """Convert a cached ``HH:MM:SS`` label to nanoseconds."""
-    ns = _TS_CACHE.get(hms)
-    if ns is None:
-        ns = (int(hms[0:2]) * 3600 + int(hms[3:5]) * 60 + int(hms[6:8])) * _NS_PER_SEC
-        if len(_TS_CACHE) < 65536:
-            _TS_CACHE[hms] = ns
-    return ns
+def _hms_ns(hms: str) -> int:
+    """Convert an ``HH:MM:SS`` label to nanoseconds."""
+    return (int(hms[0:2]) * 3600 + int(hms[3:5]) * 60 + int(hms[6:8])) * _NS_PER_SEC
 
 
 def _format_value(value: Any) -> str:
@@ -145,8 +139,8 @@ def _parse_value(text: str) -> Any:
         return text
 
 
-def _fast_fields(body: str) -> dict[str, Any] | None:
-    """Parse a writer-shaped field block with split + a part memo.
+def _fast_fields(body: str, cache: dict[str, tuple[str, Any]]) -> dict[str, Any] | None:
+    """Parse a writer-shaped field block with split + the part memo *cache*.
 
     Only accepts the strict shape the regex grammar would parse to the
     identical dict: ``key = value`` parts joined by ``", "`` where keys
@@ -160,7 +154,6 @@ def _fast_fields(body: str) -> dict[str, Any] | None:
     if not body:
         return {}
     fields: dict[str, Any] = {}
-    cache = _PART_CACHE
     for part in body.split(", "):
         hit = cache.get(part)
         if hit is not None:
@@ -191,7 +184,7 @@ def _fast_fields(body: str) -> dict[str, Any] | None:
         else:
             value = _parse_value(tok)
         fields[key] = value
-        if len(cache) < _PART_CACHE_CAP:
+        if len(cache) < _PART_MEMO_CAP:
             cache[part] = (key, value)
     return fields
 
@@ -251,7 +244,7 @@ class LttngParseError(ValueError):
 
 
 #: An exit line that found no pending entry (its entry precedes the
-#: current stream — possible when parsing a mid-trace shard).
+#: current stream — possible when parsing from mid-trace).
 #: ``fields`` is the exit field dict (carrying ``ret``).
 OrphanExit = tuple[int, str, int, str, dict]  # (ns, name, pid, comm, fields)
 
@@ -265,18 +258,17 @@ class LttngParser:
     when the trace stopped) are dropped, matching the prototype's
     behaviour.
 
-    For sharded analysis, :meth:`parse_records` additionally surfaces
-    the pairing residue a mid-file shard produces: exit lines whose
-    entries precede the shard (*orphan exits*) and entry lines whose
-    exits follow it (left in :attr:`pending_entries` after iteration).
-    The parallel executor stitches these back together across shard
-    boundaries; plain :meth:`parse` treats orphan exits as skipped
-    lines, exactly as before.
+    :meth:`parse_records` additionally surfaces the pairing residue of
+    a stream read from mid-trace: exit lines whose entries precede it
+    (*orphan exits*) and entry lines whose exits follow it (left in
+    :attr:`pending_entries` after iteration); plain :meth:`parse`
+    treats orphan exits as skipped lines.
 
     Each parser memoizes the field blocks of writer-shaped entries
     (:meth:`entry_fields`), so a block a suite repeats is parsed once
     per parser; the memo holds at most ``_FIELD_MEMO_CAP`` blocks and
-    starts over when full.
+    starts over when full.  Its field-part and timestamp memos are
+    capped too, and belong to the parser like the block memo.
     """
 
     def __init__(self, strict: bool = False, fast: bool = True) -> None:
@@ -293,6 +285,10 @@ class LttngParser:
         self.pending_entries: dict[tuple[int, str], list[tuple[int, str, dict[str, Any]]]] = {}
         #: writer-shaped field block -> its fields (see :meth:`entry_fields`)
         self._field_memo: dict[str, dict[str, Any]] = {}
+        #: "key = value" part -> (key, value), filled by :func:`_fast_fields`
+        self._part_memo: dict[str, tuple[str, Any]] = {}
+        #: "HH:MM:SS" -> nanoseconds at that second
+        self.ts_memo = CappedMemo(_hms_ns, _TS_MEMO_CAP)
 
     def entry_fields(self, body: str) -> dict[str, Any] | None:
         """Fields of a writer-shaped entry block, or None to decline.
@@ -307,7 +303,7 @@ class LttngParser:
         if fields is None:
             if "{" in body or "}" in body or "\\" in body:
                 return None
-            fields = _fast_fields(body)
+            fields = _fast_fields(body, self._part_memo)
             if fields is None:
                 return None
             if len(memo) >= _FIELD_MEMO_CAP:
@@ -325,11 +321,11 @@ class LttngParser:
                 body = g[9]
                 if body is None:
                     # Exit alternative: ret was captured by the regex.
-                    ns = _ts_ns(g[0]) + int(g[1])
+                    ns = self.ts_memo[g[0]] + int(g[1])
                     return "exit", g[2], ns, int(g[4]), g[3], {"ret": int(g[5])}
                 fields = self.entry_fields(body)
                 if fields is not None:
-                    ns = _ts_ns(g[0]) + int(g[1])
+                    ns = self.ts_memo[g[0]] + int(g[1])
                     return "entry", g[6], ns, int(g[8]), g[7], fields
                 # Braces/escapes derail the regex block splitter — the
                 # slow path must decide what such a line means.
@@ -386,10 +382,8 @@ class LttngParser:
 
         An event is a ``(name, args, retval, errno, pid, comm,
         timestamp)`` row.  Records appear in exit-line order — the order
-        the sequential parser yields events — so a consumer can stitch
-        shard streams back together position-exactly.  After
-        exhaustion, :attr:`pending_entries` holds entries still
-        awaiting exits.
+        :meth:`parse` yields events.  After exhaustion,
+        :attr:`pending_entries` holds entries still awaiting exits.
         """
         pending: dict[tuple[int, str], list[tuple[int, str, dict[str, Any]]]] = {}
         self.pending_entries = pending
@@ -404,9 +398,8 @@ class LttngParser:
                 continue
             queue = pending.get(key)
             if not queue:
-                # Exit without entry: either the trace started mid-call
-                # (sequential parse skips it) or this is a mid-file
-                # shard whose entry lives in the previous shard.
+                # Exit without entry: the stream started mid-call
+                # (parse skips it).
                 yield "orphan", (ns, name, pid, comm, fields)
                 continue
             entry_ns, entry_comm, args = queue.pop(0)
@@ -441,6 +434,6 @@ def pair_row(
     comm: str,
     entry_ns: int,
 ) -> tuple:
-    """Flatten one entry/exit pair into an event row (shared with fixup)."""
+    """Flatten one entry/exit pair into an event row."""
     retval = int(exit_fields.get("ret", 0))
     return (name, entry_args, retval, -retval if retval < 0 else 0, pid, comm, entry_ns)

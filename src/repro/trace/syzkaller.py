@@ -83,11 +83,10 @@ class SyzkallerParser:
 
     Args:
         resources: initial resource table (``r0`` -> placeholder fd),
-            used by the sharded executor to resume parsing mid-file
-            with the bindings earlier shards established.  The
-            placeholder allocator continues from the table's size, so
-            a resumed parse assigns the same fds a sequential parse
-            would.
+            to resume parsing mid-program with the bindings earlier
+            lines established.  The placeholder allocator continues
+            from the table's size, so a resumed parse assigns the same
+            fds a sequential parse would.
     """
 
     def __init__(self, resources: Mapping[str, int] | None = None) -> None:
@@ -170,19 +169,3 @@ class SyzkallerParser:
     def parse_file(self, path: str) -> list[SyscallEvent]:
         return list(self.iter_parse_file(path))
 
-
-def scan_resource_bindings(line: str, resources: dict[str, int]) -> None:
-    """Apply one line's resource binding (if any) to *resources*.
-
-    The cheap sequential pre-scan the sharded executor runs to give
-    each shard the exact resource table a sequential parse would have
-    at its start line.  Mirrors :meth:`SyzkallerParser.parse_line`'s
-    binding rule precisely: a full call match with an ``rN =`` prefix
-    allocates placeholder fd ``3 + len(resources)``.
-    """
-    line = line.split("#", 1)[0].strip()
-    if not line:
-        return
-    match = _CALL_RE.match(line)
-    if match is not None and match["res"]:
-        resources[match["res"]] = 3 + len(resources)

@@ -225,16 +225,6 @@ class DirInode(Inode):
         # Directories report a nominal block-multiple size like Ext4.
         return max(constants.DEFAULT_BLOCK_SIZE, len(self.entries) * 32)
 
-    def lookup(self, name: str) -> int:
-        """Return the inode number bound to *name*.
-
-        Raises:
-            FsError(ENOENT): no such entry.
-        """
-        if name not in self.entries:
-            raise FsError(ENOENT, name)
-        return self.entries[name]
-
     def link(self, name: str, ino: int) -> None:
         """Bind *name* -> *ino*.
 

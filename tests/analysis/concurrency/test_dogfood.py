@@ -1,9 +1,8 @@
 """The concurrency pass dogfooded over the repo's own concurrent code.
 
 This is the same gate CI enforces: zero unsuppressed findings over
-``repro/obs/`` and ``repro/parallel/``, and a lock model rich enough
-to be meaningful (the obs subsystem really does hold dozens of lock
-sites).
+``repro/obs/``, and a lock model rich enough to be meaningful (the obs
+subsystem really does hold dozens of lock sites).
 """
 
 import json
@@ -94,25 +93,17 @@ def test_cli_concurrency_exit_code_on_findings(tmp_path):
 
 
 def test_load_repo_sources_targets():
-    sources = load_repo_sources(("parallel/pool.py",))
-    assert list(sources) == ["parallel/pool.py"]
+    sources = load_repo_sources(("obs/ingest.py",))
+    assert list(sources) == ["obs/ingest.py"]
     everything = load_repo_sources((".",))
     assert "cli.py" in everything
 
 
 def test_default_targets_cover_the_worker_pool():
-    # The persistent pool is lock-and-queue heavy concurrent code; the
-    # default lint path set must cover it from day one (no blind spot).
+    # The daemon's HTTP worker pool and its ingest threads are the
+    # repo's concurrent code; the default lint path set is exactly the
+    # obs package that holds them (no blind spot).
     default = load_repo_sources()
-    assert "parallel/pool.py" in default
-    assert "parallel/executor.py" in default
+    assert {module.split("/")[0] for module in default} == {"obs"}
+    assert "obs/server.py" in default
     assert "obs/ingest.py" in default
-
-
-def test_pool_guard_relationships_inferred():
-    # The analyzer should rediscover the pool's documented lock model.
-    report = analyze_concurrency()
-    guarded = report.stats["guarded_fields"]
-    assert guarded["WorkerPool._futures"] == "WorkerPool._lock"
-    assert guarded["WorkerPool._segments"] == "WorkerPool._lock"
-    assert guarded["PoolFuture._callbacks"] == "PoolFuture._lock"

@@ -4,10 +4,8 @@ IOCov's filter -> variant merge -> partition -> count pipeline has one
 meaning, so the same trace text must give the same report and the same
 parse statistics whichever path ingests it.  Equality across paths is
 the metamorphic relation used as the oracle here: the per-line
-reference parser, the batch file reader, ``.rbt`` conversion, the
-sharded executor (three shards with a mount point, which exercises
-deferred rows and LTTng orphan stitching at shard cuts), and the live
-ingest session fed the text in random pieces.  The session's
+reference parser, the batch file reader, ``.rbt`` conversion, and the
+live ingest session fed the text in random pieces.  The session's
 quarantine must name exactly the lines the per-line parser rejects.
 """
 
@@ -22,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.core import IOCov
 from repro.obs.ingest import QUARANTINE_CAP, IngestSession
-from repro.parallel import run_sharded
 from repro.trace.batch import make_parse_stats
 from repro.trace.binary import convert_file
 from repro.trace.events import make_event, split_lines
@@ -151,12 +148,6 @@ def _file_paths(fmt: str, path: str, directory: str) -> dict:
     convert_file(path, rbt, fmt)
     iocov = IOCov(mount_point=MOUNT, suite_name=SUITE).consume_rbt_file(rbt)
     results["rbt"] = (iocov.report().to_json(), iocov.parse_stats)
-    stats: dict = {}
-    report = run_sharded(
-        path, fmt=fmt, jobs=3, inline=True, min_shard_bytes=1,
-        mount_point=MOUNT, suite_name=SUITE, stats=stats,
-    )
-    results["sharded"] = (report.to_json(), stats["parse"])
     return results
 
 
@@ -228,10 +219,6 @@ def test_lines_end_at_newline_only(tmp_path, char, dirty):
         .consume(LttngParser().iter_parse_file(str(trace))).report(),
         "parse_text": IOCov(mount_point=MOUNT, suite_name=SUITE)
         .consume(LttngParser().parse_text(text)).report(),
-        "run_sharded": run_sharded(
-            str(trace), jobs=3, inline=True, min_shard_bytes=1,
-            mount_point=MOUNT, suite_name=SUITE,
-        ),
     }
     session = IngestSession("lttng", mount_point=MOUNT, suite_name=SUITE)
     try:

@@ -9,10 +9,8 @@ import pytest
 from repro.core.analyzer import IOCov
 from repro.core.report import CoverageReport
 
-#: The small real LTTng fixture the parallel tests already use.
-MINI_TRACE = os.path.join(
-    os.path.dirname(__file__), "..", "parallel", "fixtures", "mini.lttng.txt"
-)
+#: The small real LTTng fixture (120 events under /mnt/test).
+MINI_TRACE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "mini.lttng.txt")
 MINI_MOUNT = "/mnt/test"
 
 

@@ -7,6 +7,7 @@ journal must replay binary frames after a crash exactly like text.
 
 from __future__ import annotations
 
+import base64
 import gzip
 import threading
 
@@ -17,20 +18,16 @@ from repro.obs.client import PushError, fetch_json, push_file
 from repro.obs.ingest import RBT_JOURNAL_PREFIX, IngestSession
 from repro.obs.server import make_server
 from repro.obs.store import RunStore
+from repro.trace.batch import EventBatch
 from repro.trace.binary import convert_file, iter_rbt_batches
-from tests.obs.conftest import MINI_MOUNT
+from tests.obs.conftest import MINI_MOUNT, MINI_TRACE
 
 
 @pytest.fixture(scope="module")
 def mini_rbt(tmp_path_factory):
     """The mini LTTng fixture converted to .rbt once per module."""
-    import os
-
-    src = os.path.abspath(
-        os.path.join(os.path.dirname(__file__), "..", "parallel", "fixtures", "mini.lttng.txt")
-    )
     dst = tmp_path_factory.mktemp("rbt") / "mini.rbt"
-    convert_file(src, str(dst), "lttng")
+    convert_file(MINI_TRACE, str(dst), "lttng")
     return str(dst)
 
 
@@ -131,25 +128,44 @@ def test_binary_journal_recovery(tmp_path, mini_rbt, mini_report):
         store.close()
 
 
-def test_corrupt_journal_record_loses_only_itself(tmp_path, mini_rbt, mini_report):
-    store = RunStore(str(tmp_path / "runs.sqlite"))
-    store.journal_append("live", [RBT_JOURNAL_PREFIX + "!!!not-base64!!!"])
+def _recovered(path, corrupt: str | None, rows):
+    """Journal two good batches (with *corrupt* between them) and recover.
+
+    Returns ``(live report json, replay count, session stats)``.
+    """
+    store = RunStore(path)
     session = IngestSession(
         "lttng", mount_point=MINI_MOUNT, suite_name="mini", store=store
     )
-    for batch in iter_rbt_batches(mini_rbt):
-        session.feed_batch(batch)
-    session.flush()
+    half = len(rows) // 2
+    session.feed_batch(EventBatch.from_rows(rows[:half]))
+    if corrupt is not None:
+        store.journal_append("live", [RBT_JOURNAL_PREFIX + corrupt])
+    session.feed_batch(EventBatch.from_rows(rows[half:]))
     session.close(drain=True)
     fresh = IngestSession(
         "lttng", mount_point=MINI_MOUNT, suite_name="mini", store=store
     )
     try:
-        fresh.recover()
-        assert fresh.report().to_dict() == mini_report.to_dict()
+        replayed = fresh.recover()
+        return fresh.report().to_json(), replayed, fresh.stats()
     finally:
         fresh.close()
         store.close()
+
+
+def test_corrupt_journal_record_loses_only_itself(tmp_path, mini_rbt, mini_report):
+    rows = [row for batch in iter_rbt_batches(mini_rbt) for row in batch.iter_rows()]
+    want, replayed, stats = _recovered(str(tmp_path / "good.sqlite"), None, rows)
+    assert want == mini_report.to_json()
+    assert (replayed, stats["journal_record_corrupt"]) == (2, 0)
+    # One record fails base64, the other decodes but is no .rbt frame.
+    undecodable = base64.b64encode(b"not an rbt frame").decode("ascii")
+    for index, corrupt in enumerate(("!!!not-base64!!!", undecodable)):
+        path = str(tmp_path / f"corrupt{index}.sqlite")
+        live, replayed, stats = _recovered(path, corrupt, rows)
+        assert live == want
+        assert (replayed, stats["journal_record_corrupt"]) == (2, 1)
 
 
 # -- wire level ----------------------------------------------------------------

@@ -1,22 +1,20 @@
-"""Batch-era parallel pipeline: pool skip, parse stats, deferred blobs.
+"""``run_sharded``'s ``stats``: the topology and parse fields it still fills.
 
-Covers the executor behaviors added with the batch/columnar fast path:
-the small-trace pool-skip heuristic (process pools must never *lose*
-wall-clock), run-level parse statistics identical between the serial
-and sharded paths, and the encoded deferred-event handoff from workers.
+``run_sharded`` runs the serial reader; the benchmark harness reads its
+``jobs_effective``, ``shards`` and ``parse`` fields, so each must match
+what the serial pass itself reports.
 """
 
 from __future__ import annotations
 
 import os
 
+import pytest
+
 from repro.core import IOCov
 from repro.parallel import run_sharded
-from repro.parallel.executor import MIN_SHARD_EVENTS
-from repro.parallel.worker import ShardTask, analyze_shard
-from repro.trace.binary import decode_batch
 
-FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "mini.lttng.txt")
+FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "mini.lttng.txt")
 MOUNT = "/mnt/test"
 
 
@@ -26,35 +24,18 @@ def _sequential(path: str, fmt: str = "lttng", mount: str | None = MOUNT) -> IOC
     return iocov
 
 
-def test_pool_skipped_for_small_traces(monkeypatch):
-    # The mini fixture is far below jobs * MIN_SHARD_EVENTS events, so
-    # a non-inline run must choose the sequential path — and still
-    # produce the exact sequential report.  cpu_count is pinned so the
-    # CPU clamp (a separate guard) cannot preempt the heuristic on
-    # small CI machines.
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    serial = _sequential(FIXTURE)
-    stats: dict = {}
-    report = run_sharded(
-        FIXTURE, jobs=4, mount_point=MOUNT, suite_name="s", stats=stats
-    )
-    assert stats["pool_skipped"] is True
-    assert stats["shards"] == 1
-    assert report.to_dict() == serial.report().to_dict()
-    assert stats["parse"] == serial.parse_stats
-
-
 def test_jobs_clamped_to_cpu_count():
     stats: dict = {}
     run_sharded(FIXTURE, jobs=512, mount_point=MOUNT, suite_name="s", stats=stats)
+    assert stats["jobs_requested"] == 512
     assert stats["jobs_effective"] <= (os.cpu_count() or 1)
 
 
 def test_sharded_parse_stats_match_serial(tmp_path):
-    # Enough lines to defeat the pool-skip estimate, with malformed
-    # noise mixed in, via the inline path (deterministic).
+    # Malformed and skipped lines mixed in: both counts must reach the
+    # stats unchanged.
     lines = []
-    for i in range(MIN_SHARD_EVENTS // 2):
+    for i in range(2048):
         lines.append(f'openat(AT_FDCWD, "/mnt/test/f{i % 7}", 0x2, 0644) = {3 + i % 5}')
         lines.append(f"write({3 + i % 5}, \"x\"..., {1 << (i % 20)}) = {1 << (i % 20)}")
         if i % 97 == 0:
@@ -65,16 +46,16 @@ def test_sharded_parse_stats_match_serial(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     serial = _sequential(str(path), fmt="strace")
     stats: dict = {}
-    report = run_sharded(
-        str(path),
-        fmt="strace",
-        jobs=4,
-        mount_point=MOUNT,
-        suite_name="s",
-        inline=True,
-        stats=stats,
-    )
-    assert stats["shards"] > 1
+    with pytest.warns(DeprecationWarning):
+        report = run_sharded(
+            str(path),
+            fmt="strace",
+            jobs=4,
+            mount_point=MOUNT,
+            suite_name="s",
+            stats=stats,
+        )
+    assert stats["shards"] == 1
     assert report.to_dict() == serial.report().to_dict()
     assert stats["parse"] == serial.parse_stats
     assert stats["parse"]["malformed_lines"] > 0
@@ -82,9 +63,8 @@ def test_sharded_parse_stats_match_serial(tmp_path):
 
 
 def test_lttng_sharded_parse_stats_include_stitch_residue(tmp_path):
-    # An exit whose entry precedes the first shard boundary must not be
-    # double-counted: the stitch pairs it, and only truly unpaired
-    # residue lands in the stats.
+    # An exit whose entry is missing and an entry whose exit is missing
+    # are each counted once, exactly as the serial pass counts them.
     import random
 
     from repro.trace.events import make_event
@@ -111,64 +91,17 @@ def test_lttng_sharded_parse_stats_include_stitch_residue(tmp_path):
     path.write_text(mangled)
     serial = _sequential(str(path), mount=None)
     stats: dict = {}
-    report = run_sharded(
-        str(path),
-        jobs=3,
-        suite_name="s",
-        inline=True,
-        min_shard_bytes=512,
-        stats=stats,
-    )
-    assert stats["shards"] > 1
+    report = run_sharded(str(path), jobs=3, suite_name="s", stats=stats)
+    assert stats["shards"] == 1
     assert report.to_dict() == serial.report().to_dict()
     assert stats["parse"] == serial.parse_stats
     assert stats["parse"]["skipped_lines"] == 1
     assert stats["parse"]["unpaired_entries"] == 1
 
 
-def test_deferred_events_ship_as_encoded_blob(tmp_path):
-    # A shard that starts mid-file sees fd-carrying events with no
-    # shard-local open: those defer, and the worker encodes them as one
-    # .rbt frame instead of pickling event objects.
-    lines = ['openat(AT_FDCWD, "/mnt/test/f", 0x2, 0644) = 3']
-    lines += [f'write(3, "x"..., {1 << (i % 16)}) = {1 << (i % 16)}' for i in range(200)]
-    path = tmp_path / "t.strace"
-    path.write_text("\n".join(lines) + "\n")
-    size = os.path.getsize(str(path))
-    task = ShardTask(
-        index=1,
-        path=str(path),
-        start=size // 2 - (size // 2) % 1,  # any byte offset...
-        end=size,
-        fmt="strace",
-        mount_point=MOUNT,
-    )
-    # ...aligned to a line start:
-    with open(path, "rb") as handle:
-        handle.seek(task.start)
-        handle.readline()
-        task = ShardTask(
-            index=1,
-            path=str(path),
-            start=handle.tell(),
-            end=size,
-            fmt="strace",
-            mount_point=MOUNT,
-        )
-    result = analyze_shard(task)
-    assert result.deferred == []
-    assert result.deferred_blob is not None
-    decoded = decode_batch(result.deferred_blob)
-    assert len(result.deferred_seqs) == len(decoded)
-    assert len(decoded) > 0
-    assert all(e.name == "write" for e in decoded.iter_events())
-    # The iterator view hides the transport encoding.
-    seqs = [seq for seq, _ in result.iter_deferred()]
-    assert seqs == result.deferred_seqs
-
-
 def test_sharded_binary_deferred_path_stays_exact(tmp_path):
-    # End-to-end: the deferred-blob transport must not change results.
+    # An fd closed and reopened under the same number: every write must
+    # land on the reopened file, as in the serial pass.
     lines = ['openat(AT_FDCWD, "/mnt/test/f", 0x2, 0644) = 3']
     for i in range(400):
         lines.append(f'write(3, "x"..., {1 << (i % 16)}) = {1 << (i % 16)}')
@@ -185,9 +118,7 @@ def test_sharded_binary_deferred_path_stays_exact(tmp_path):
         jobs=4,
         mount_point=MOUNT,
         suite_name="s",
-        inline=True,
-        min_shard_bytes=512,
         stats=stats,
     )
-    assert stats["shards"] > 1
+    assert stats["shards"] == 1
     assert report.to_dict() == serial.report().to_dict()

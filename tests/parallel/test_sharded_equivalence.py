@@ -1,10 +1,12 @@
-"""The tentpole guarantee: sharded analysis ≡ sequential analysis, bit for bit.
+"""``run_sharded`` ≡ sequential analysis, bit for bit.
 
-Property-based: random event streams (opens in and out of scope, fd
-reuse, dups, closes, interleaved pids, global events) serialized to a
-trace file, analyzed sequentially and with random shard counts — the
-two reports must compare equal as dicts (counts, combinations,
-unclassified, untracked, event totals).
+``run_sharded`` is a deprecated name the benchmark harness still calls;
+it runs the serial reader whatever *jobs* asks for.  Property-based:
+random event streams (opens in and out of scope, fd reuse, dups,
+closes, interleaved pids, global events) serialized to a trace file,
+analyzed sequentially and through ``run_sharded`` with random job
+counts — the two reports must compare equal as dicts (counts,
+combinations, unclassified, untracked, event totals).
 """
 
 import os
@@ -99,8 +101,6 @@ def _roundtrip(events, jobs, mount):
             jobs=jobs,
             mount_point=mount,
             suite_name="eq",
-            inline=True,
-            min_shard_bytes=1,
         ).to_dict()
         return sequential, sharded
     finally:
@@ -122,7 +122,7 @@ def test_sharded_equals_sequential_unfiltered(events, jobs):
 
 
 def test_sharded_equals_sequential_with_real_processes(tmp_path):
-    """One run through the actual process pool (fork or spawn)."""
+    """A default-settings run, as the benchmark harness makes it."""
     events = [
         make_event(
             "openat",
@@ -151,17 +151,12 @@ def test_sharded_equals_sequential_with_real_processes(tmp_path):
         jobs=3,
         mount_point="/mnt/test",
         suite_name="pool",
-        min_shard_bytes=1,
     ).to_dict()
     assert sharded == sequential
 
 
 def test_interleaved_same_key_pairs_stay_exact(tmp_path):
-    """Shard cuts between interleaved entry/exit pairs of one (pid, name).
-
-    This is the case shard-local FIFO pairing could get wrong; the
-    executor must detect it and fall back, keeping results exact.
-    """
+    """Entry/exit pairs of one (pid, syscall) interleave and pair FIFO."""
     writer = LttngWriter()
     lines = []
     for i in range(150):
@@ -183,8 +178,6 @@ def test_interleaved_same_key_pairs_stay_exact(tmp_path):
             fmt="lttng",
             jobs=jobs,
             suite_name="i",
-            inline=True,
-            min_shard_bytes=1,
         ).to_dict()
         assert sharded == sequential, jobs
 
@@ -212,8 +205,6 @@ def test_strace_and_syzkaller_sharding(tmp_path):
         jobs=4,
         mount_point="/mnt/test",
         suite_name="s",
-        inline=True,
-        min_shard_bytes=1,
     ).to_dict()
     assert sharded == sequential
 
@@ -234,7 +225,5 @@ def test_strace_and_syzkaller_sharding(tmp_path):
         fmt="syzkaller",
         jobs=5,
         suite_name="z",
-        inline=True,
-        min_shard_bytes=1,
     ).to_dict()
     assert sharded == sequential

@@ -306,6 +306,17 @@ def test_analyze_parse_stats_identical_serial_vs_jobs(trace_file, capsys):
     assert sharded["input_coverage"] == serial["input_coverage"]
 
 
+def test_analyze_jobs_runs_the_serial_reader(trace_file, capsys):
+    assert main(["analyze", trace_file, "--name", "t", "--json"]) == 0
+    serial = capsys.readouterr()
+    assert serial.err == ""
+    for jobs in ("2", "0"):
+        assert main(["analyze", trace_file, "--name", "t", "--json", "--jobs", jobs]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["repro analyze: --jobs has no effect"]
+        assert captured.out == serial.out
+
+
 def test_replay_accepts_rbt(trace_file, tmp_path, capsys):
     rbt = str(tmp_path / "trace.rbt")
     assert main(["convert", trace_file, rbt]) == 0

@@ -336,3 +336,41 @@ def test_syzkaller_resource_snapshot_injection():
     ref = SyzkallerParser({"r5": 8})
     event = ref.parse_line("write(r5, &(0x7f0000000080), 0x10)")
     assert rows[0][1] == event.args
+
+
+def _memos(parser) -> list[dict]:
+    """Every memo a batch parser (and its per-line fallback) owns."""
+    memos = [parser._ints]
+    if isinstance(parser, LttngBatchParser):
+        line_parser = parser._parser
+        memos += [line_parser._field_memo, line_parser._part_memo, line_parser.ts_memo]
+    else:
+        memos.append(parser._args)
+    return memos
+
+
+def test_memos_belong_to_each_parser_and_stay_capped(monkeypatch):
+    from repro.trace import batch, lttng
+
+    for module, name in ((lttng, "_FIELD_MEMO_CAP"), (lttng, "_PART_MEMO_CAP"),
+                         (lttng, "_TS_MEMO_CAP"), (batch, "_INT_MEMO_CAP"),
+                         (batch, "_ARG_MEMO_CAP")):
+        monkeypatch.setattr(module, name, 8)
+    # Every event brings a new pid, second, path, flags value and fd.
+    events = [
+        make_event("openat", {"dfd": -100, "pathname": f"/mnt/test/f{i}", "flags": i},
+                   i + 3, pid=i + 1, timestamp=i * 1_000_000_000)
+        for i in range(40)
+    ]
+    texts = {
+        "lttng": LttngWriter().dumps(events),
+        "strace": "".join(f'[pid {i + 1}] openat(AT_FDCWD, "/mnt/test/f{i}", {i}) = {i + 3}\n'
+                          for i in range(40)),
+    }
+    for fmt, text in texts.items():
+        first, second = make_batch_parser(fmt), make_batch_parser(fmt)
+        assert len(first.parse_chunk(text)) == 40
+        assert not {id(m) for m in _memos(first)} & {id(m) for m in _memos(second)}
+        for memo in _memos(first):
+            assert 0 < len(memo) <= 8
+        assert all(not memo for memo in _memos(second))

@@ -24,7 +24,7 @@ from repro.trace.lttng import LttngParser, LttngWriter
 from repro.trace.strace import StraceParser
 from repro.trace.syzkaller import SyzkallerParser
 
-MINI = "tests/parallel/fixtures/mini.lttng.txt"
+MINI = "tests/fixtures/mini.lttng.txt"
 
 _EVENT = st.builds(
     make_event,
