@@ -497,10 +497,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             mount_point=args.mount,
             suite_name=args.name,
             store_path=args.store,
-            queue_size=args.queue_size,
             error_budget=args.error_budget,
             backend=args.backend,
-            journal_batch=args.journal_batch,
             workers=args.workers,
             tenant=args.tenant,
             project=args.project,
@@ -726,9 +724,7 @@ def cmd_migrate_store(args: argparse.Namespace) -> int:
     from repro.obs.sharded import migrate_single_to_sharded
 
     try:
-        summary = migrate_single_to_sharded(
-            args.source, args.dest, journal_batch=args.journal_batch
-        )
+        summary = migrate_single_to_sharded(args.source, args.dest)
     except FileExistsError as exc:
         print(f"migrate-store: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -925,13 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
         "single-file SQLite)",
     )
     serve.add_argument(
-        "--journal-batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="sharded-journal group-commit size: records per fsync",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=8,
@@ -946,12 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--project",
         default="default",
         help="default namespace project for unprefixed routes",
-    )
-    serve.add_argument(
-        "--queue-size",
-        type=int,
-        default=None,
-        help="bounded ingest queue depth (backpressure threshold)",
     )
     serve.add_argument(
         "--error-budget",
@@ -1182,13 +1165,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     migrate.add_argument("source", help="existing .sqlite store file")
     migrate.add_argument("dest", help="destination sharded store directory")
-    migrate.add_argument(
-        "--journal-batch",
-        type=int,
-        default=64,
-        metavar="N",
-        help="group-commit size for the destination's journals",
-    )
     migrate.add_argument("--json", action="store_true", help="dump JSON")
     migrate.set_defaults(handler=cmd_migrate_store)
 

@@ -48,13 +48,6 @@ class ArgCoverage:
         # e.g. a stray 1.0 never aliases the int 1 entry.
         self._classify_cache: dict = {}
 
-    def __getstate__(self) -> dict:
-        # The classify memo is derived state; pickling it would only
-        # copy what the receiver rebuilds on demand.
-        state = self.__dict__.copy()
-        state["_classify_cache"] = {}
-        return state
-
     def _classified(self, value: Any) -> tuple[tuple[str, ...], frozenset | None]:
         """Classify *value*, memoized on hashable values."""
         try:

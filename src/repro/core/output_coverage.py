@@ -40,12 +40,6 @@ class SyscallOutputCoverage:
     def __post_init__(self) -> None:
         self._classify_cache: dict[tuple[int, int], tuple[str, ...]] = {}
 
-    def __getstate__(self) -> dict:
-        # Derived state: don't ship the memo across process boundaries.
-        state = self.__dict__.copy()
-        state["_classify_cache"] = {}
-        return state
-
     def record(self, retval: int, errno: int = 0, n: int = 1) -> None:
         """Credit the partitions of ``(retval, errno)`` with *n* occurrences."""
         cache_key = (retval, errno)

@@ -10,12 +10,12 @@ package answers the questions that need *memory and liveness*:
   the ingest journal the daemon replays after a crash; every run lives
   in a ``tenant/project`` namespace;
 * :mod:`repro.obs.sharded` — the sharded backend: one SQLite shard and
-  one group-committed, CRC-framed crash-recovery journal per
-  namespace, plus the single-file→sharded migration;
-* :mod:`repro.obs.ingest` — the live ingestion pipeline: a bounded
-  queue with backpressure, chunk-mode parsing with malformed-line
-  quarantine and a configurable error budget, feeding a live
-  :class:`~repro.core.IOCov` per namespace;
+  one CRC-framed crash-recovery journal per namespace, fsynced once
+  per acknowledged request, plus the single-file→sharded migration;
+* :mod:`repro.obs.ingest` — the live ingestion pipeline: each fed
+  chunk is journaled, then parsed and counted in the caller's thread,
+  with malformed-line quarantine and a configurable error budget,
+  feeding a live :class:`~repro.core.IOCov` per namespace;
 * :mod:`repro.obs.server` — the ``repro serve`` HTTP daemon: a bounded
   worker pool over per-tenant sessions, chunked POST trace ingest,
   JSON snapshot endpoints, Prometheus ``/metrics`` with per-tenant

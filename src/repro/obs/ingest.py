@@ -1,14 +1,15 @@
-"""The live ingestion pipeline: queue, parse, quarantine, count.
+"""The live ingestion pipeline: journal, parse, quarantine, count.
 
 :class:`IngestSession` is the daemon's engine, kept free of HTTP so the
 failure modes are testable directly:
 
-* **bounded queue with backpressure** — producers (HTTP handler
-  threads) block in :meth:`feed_text` once ``queue_size`` lines are
-  outstanding, which propagates back to the client as TCP backpressure
-  instead of unbounded daemon memory;
-* **chunk-mode parsing** — lines travel through the queue as whole
-  chunks and are parsed by the session's persistent batch parser
+* **counting in the caller's thread** — each fed chunk of lines or
+  binary frame is journaled, parsed and counted before the feed call
+  returns, so the daemon holds no queue: an HTTP handler reads a
+  request body only as fast as it counts, and a fast client meets TCP
+  backpressure;
+* **chunk-mode parsing** — lines arrive as whole chunks and are parsed
+  by the session's persistent batch parser
   (:func:`~repro.trace.batch.make_batch_parser`: the regex fast path,
   with LTTng entry/exit pairing and syzkaller resource bindings kept
   across chunks), so a trace streamed in arbitrary network-sized
@@ -20,12 +21,11 @@ failure modes are testable directly:
   the budget the session degrades and refuses further input rather
   than publishing numbers built on garbage;
 * **journaling** — accepted lines are appended to the run store's
-  journal *before* they are counted, so a crash loses nothing:
-  :meth:`IngestSession.recover` replays the journal through a fresh
-  parser/analyzer on restart;
-* **drain** — :meth:`close` waits for every queued line to be parsed
-  and counted (the SIGTERM path), then optionally snapshots the final
-  state into the store;
+  journal *before* they are counted, so neither a crash nor an error
+  while counting loses them: :meth:`IngestSession.recover` replays the
+  journal through a fresh parser/analyzer on restart, and
+  :meth:`~IngestSession.flush` makes the journal durable before the
+  daemon acknowledges a request;
 * **namespacing** — every session belongs to a ``tenant/project``;
   journal records, stored runs, and metric samples carry the
   namespace, so one registry and one store serve many tenants.
@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import base64
 import binascii
-import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.analyzer import IOCov
@@ -46,9 +45,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.store import DEFAULT_PROJECT, DEFAULT_TENANT, BaseRunStore
 from repro.trace.batch import EventBatch, make_batch_parser
 from repro.trace.binary import RbtError, decode_batch, encode_batch
-
-#: Default bound on queued-but-uncounted lines.
-DEFAULT_QUEUE_SIZE = 65536
 
 #: Journal marker for binary batches: one journal "line" per frame,
 #: ``#repro-rbt1:`` + base64 of the frame payload.  The ``#`` prefix
@@ -66,11 +62,8 @@ DEFAULT_BUDGET_GRACE = 20
 #: How many quarantined lines are retained for inspection.
 QUARANTINE_CAP = 100
 
-#: The worker coalesces queued chunks until roughly this many lines
-#: count under one lock round.
-WORKER_ROUND_LINES = 4096
-
-_SENTINEL = object()
+#: Journal lines :meth:`IngestSession.recover` counts per chunk.
+REPLAY_CHUNK_LINES = 4096
 
 
 class SessionDegradedError(RuntimeError):
@@ -88,13 +81,6 @@ class Quarantined:
         return {"line_number": self.line_number, "line": self.line}
 
 
-@dataclass
-class _Flush:
-    """Queue marker: set the event once everything before it counted."""
-
-    done: threading.Event = field(default_factory=threading.Event)
-
-
 def _chunk_text(lines: list[str]) -> str:
     """One parser chunk holding exactly *lines* (blank ones included)."""
     return "\n".join(lines) + "\n"
@@ -109,7 +95,6 @@ class IngestSession:
         suite_name: label for the live report.
         store: run store for journaling and snapshots (optional).
         journal_session: journal key in the store.
-        queue_size: bound on queued lines (backpressure threshold).
         error_budget: malformed-line fraction that degrades the session.
         budget_grace: malformed-line count below which the budget never
             trips.
@@ -133,7 +118,6 @@ class IngestSession:
         suite_name: str = "live",
         store: BaseRunStore | None = None,
         journal_session: str = "live",
-        queue_size: int = DEFAULT_QUEUE_SIZE,
         error_budget: float = DEFAULT_ERROR_BUDGET,
         budget_grace: int = DEFAULT_BUDGET_GRACE,
         registry: MetricsRegistry | None = None,
@@ -145,7 +129,6 @@ class IngestSession:
         self.suite_name = suite_name
         self.store = store
         self.journal_session = journal_session
-        self.queue_size = queue_size
         self.error_budget = error_budget
         self.budget_grace = budget_grace
         self.tenant = tenant
@@ -166,20 +149,8 @@ class IngestSession:
         #: producers serialize whole requests on this so interleaved
         #: chunked POSTs cannot shuffle each other's partial lines
         self.feed_lock = threading.Lock()
-        self._queue: queue.Queue = queue.Queue()
-        #: backpressure: lines enqueued but not yet counted, guarded by
-        #: its own condition so producers block at line granularity even
-        #: though queue items are whole chunks
-        self._pending_lines = 0
-        self._space = threading.Condition()
         self._feed_tail = ""
         self._metrics(registry)
-        self._worker = threading.Thread(
-            target=self._run_worker,
-            name=f"iocov-ingest-{tenant}-{project}",
-            daemon=True,
-        )
-        self._worker.start()
 
     def _metrics(self, registry: MetricsRegistry | None) -> None:
         registry = registry or MetricsRegistry()
@@ -193,9 +164,6 @@ class IngestSession:
         self.m_parse_errors = registry.counter(
             "iocov_parse_errors_total", "Grammar-rejected (quarantined) trace lines"
         )
-        self.m_queue_depth = registry.gauge(
-            "iocov_ingest_queue_depth", "Lines queued but not yet counted"
-        )
         self.m_batch_seconds = registry.histogram(
             "iocov_ingest_batch_seconds",
             "Wall time spent parsing and counting one ingest batch",
@@ -204,78 +172,28 @@ class IngestSession:
             "iocov_runs_stored_total", "Coverage runs snapshotted into the store"
         )
 
-    # -- the worker ----------------------------------------------------------
+    # -- counting ------------------------------------------------------------
 
-    @staticmethod
-    def _work_size(item: Any) -> int:
-        return len(item) if isinstance(item, list) else 1
-
-    def _run_worker(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _SENTINEL:
-                break
-            if isinstance(item, _Flush):
-                item.done.set()
-                continue
-            # Coalesce opportunistically: one lock round per work batch.
-            work = [item]
-            round_lines = self._work_size(item)
-            flushes: list[_Flush] = []
-            stop = False
-            while round_lines < WORKER_ROUND_LINES:
-                try:
-                    extra = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is _SENTINEL:
-                    self._queue.put(_SENTINEL)  # re-post for the outer loop
-                    stop = True
-                    break
-                if isinstance(extra, _Flush):
-                    flushes.append(extra)
-                    break  # honor ordering: flush after this batch counts
-                work.append(extra)
-                round_lines += self._work_size(extra)
-            self._ingest_work(work)
-            with self._space:
-                self._pending_lines -= round_lines
-                depth = self._pending_lines
-                self._space.notify_all()
-            for flush in flushes:
-                flush.done.set()
-            self.m_queue_depth.set(max(depth, 0), **self._labels)
-            if stop:
-                break
-
-    def _ingest_work(self, items: list) -> None:
-        """Count one drained queue round: line chunks and/or event batches.
-
-        Items are consumed strictly in queue order — a binary frame
-        between two text chunks counts exactly where it arrived, so fd
-        state evolves as it would have in one sequential stream.
-        """
+    def _count(self, item: list[str] | EventBatch) -> None:
+        """Parse and count one chunk of lines or one event batch."""
         started = time.perf_counter()
         n_lines = 0
-        n_events = 0
         malformed: list[Quarantined] = []
-        parser = self.parser
         with self._lock:
-            for item in items:
-                if isinstance(item, EventBatch):
-                    self.iocov.consume_batch(item)
-                    self.batches_received += 1
-                    n_events += len(item)
-                    continue
+            if isinstance(item, EventBatch):
+                self.iocov.consume_batch(item)
+                self.batches_received += 1
+                n_events = len(item)
+            else:
                 base = self.lines_received
-                rows = parser.parse_chunk(_chunk_text(item))
-                n_lines += len(item)
-                self.lines_received += len(item)
-                for index in parser.malformed_positions:
+                rows = self.parser.parse_chunk(_chunk_text(item))
+                n_lines = len(item)
+                self.lines_received += n_lines
+                for index in self.parser.malformed_positions:
                     malformed.append(Quarantined(base + index + 1, item[index]))
+                n_events = len(rows)
                 if rows:
                     self.iocov.consume_batch(EventBatch.from_rows(rows))
-                    n_events += len(rows)
             self.events_counted += n_events
             if malformed:
                 space = QUARANTINE_CAP - len(self.quarantine)
@@ -297,7 +215,7 @@ class IngestSession:
     def _check_accepting(self) -> None:
         if self.closed:
             raise RuntimeError("ingest session is closed")
-        # degraded and the parser counters are written by the worker
+        # degraded and the parser counters are written while counting
         # under _lock; read them under the same lock.
         with self._lock:
             degraded = self.degraded
@@ -310,21 +228,8 @@ class IngestSession:
                 f"(budget {self.error_budget:.1%})"
             )
 
-    def _enqueue(self, item: Any, weight: int) -> None:
-        """Admit one queue item, blocking while the line bound is hit."""
-        with self._space:
-            while self._pending_lines >= self.queue_size and not self.closed:
-                # Producers are *meant* to park here while serialized
-                # by feed_lock: the worker drains the queue without
-                # taking either lock, so this cannot deadlock.
-                self._space.wait(0.5)  # lint: allow(blocking-under-lock)
-            self._pending_lines += weight
-            depth = self._pending_lines
-        self._queue.put(item)
-        self.m_queue_depth.set(depth, **self._labels)
-
-    def feed_lines(self, lines: list[str], *, journal: bool = True) -> None:
-        """Enqueue complete lines; blocks when the queue is full.
+    def feed_lines(self, lines: list[str]) -> None:
+        """Journal, then parse and count, complete lines.
 
         Raises:
             SessionDegradedError: the error budget is exhausted.
@@ -333,26 +238,25 @@ class IngestSession:
         self._check_accepting()
         if not lines:
             return
-        if journal and self.store is not None:
+        if self.store is not None:
             self.store.journal_append(self.journal_session, lines, **self._ns)
-        chunk = list(lines)
-        self._enqueue(chunk, len(chunk))
+        self._count(lines)
 
-    def feed_text(self, data: str, *, journal: bool = True) -> None:
+    def feed_text(self, data: str) -> None:
         """Feed a raw payload that may split lines arbitrarily.
 
-        Partial trailing lines are buffered (in the feeder, not the
-        queue) until their newline arrives in a later call.
+        A partial trailing line is buffered until its newline arrives
+        in a later call.
         """
         self._check_accepting()
         buffered = self._feed_tail + data
         lines = buffered.split("\n")
         self._feed_tail = lines.pop()
         if lines:
-            self.feed_lines(lines, journal=journal)
+            self.feed_lines(lines)
 
-    def feed_batch(self, batch: EventBatch, *, journal: bool = True) -> None:
-        """Enqueue one decoded binary frame (``.rbt`` ingest path).
+    def feed_batch(self, batch: EventBatch) -> None:
+        """Journal, then count, one decoded binary frame (``.rbt`` path).
 
         The frame is journaled as a single :data:`RBT_JOURNAL_PREFIX`
         line (base64 of its re-encoded payload) so crash recovery
@@ -365,28 +269,28 @@ class IngestSession:
         self._check_accepting()
         if not len(batch):
             return
-        if journal and self.store is not None:
+        if self.store is not None:
             blob = base64.b64encode(encode_batch(batch.rows())).decode("ascii")
             self.store.journal_append(
                 self.journal_session, [RBT_JOURNAL_PREFIX + blob], **self._ns
             )
-        self._enqueue(batch, 1)
+        self._count(batch)
 
     def end_of_stream(self) -> None:
-        """Complete any buffered partial line (client finished sending)."""
+        """Count any buffered partial line (client finished sending)."""
         tail, self._feed_tail = self._feed_tail, ""
         if tail:
             self.feed_lines([tail])
-        if self.store is not None:
-            self.store.journal_sync()
 
-    def flush(self, timeout: float | None = 30.0) -> bool:
-        """Block until everything fed so far is parsed and counted."""
+    def flush(self) -> bool:
+        """Make everything fed so far durable in the store's journal.
+
+        Feeding counts before it returns, so only the journal needs a
+        sync here.  Returns True (the ``/ingest`` answer's ``flushed``).
+        """
         if self.store is not None:
             self.store.journal_sync()
-        marker = _Flush()
-        self._queue.put(marker)
-        return marker.done.wait(timeout)
+        return True
 
     # -- snapshots ------------------------------------------------------------
 
@@ -426,9 +330,6 @@ class IngestSession:
 
     def stats(self) -> dict[str, Any]:
         """Session counters for the ``/session`` endpoint."""
-        # _pending_lines is guarded by the _space condition, not _lock.
-        with self._space:
-            depth = self._pending_lines
         with self._lock:
             return {
                 "format": self.fmt,
@@ -443,7 +344,6 @@ class IngestSession:
                 "pending_pairs": self.parser.unpaired_entries,
                 "degraded": self.degraded,
                 "error_budget": self.error_budget,
-                "queue_depth": max(depth, 0),
                 "runs_stored": self.runs_stored,
                 "journal_record_corrupt": self.journal_record_corrupt,
                 "quarantine": [item.to_dict() for item in self.quarantine[:20]],
@@ -455,21 +355,22 @@ class IngestSession:
         """Replay the store's journal into this (fresh) session.
 
         Returns the number of journal lines replayed.  Lines are *not*
-        re-journaled — they are already durable.  A binary record that
-        fails to decode loses only itself: it is counted in
+        re-journaled — they are already durable — and are counted even
+        past the error budget, as they were when first fed.  A binary
+        record that fails to decode loses only itself: it is counted in
         :attr:`journal_record_corrupt`, not in the returned number.
         """
         if self.store is None:
             return 0
         replayed = 0
-        batch: list[str] = []
+        chunk: list[str] = []
         for line in self.store.journal_lines(self.journal_session, **self._ns):
             if line.startswith(RBT_JOURNAL_PREFIX):
-                # Binary frame: flush buffered text first so replay
-                # order matches arrival order, then decode and enqueue.
-                if batch:
-                    self.feed_lines(batch, journal=False)
-                    batch = []
+                # Binary frame: count buffered text first so replay
+                # order matches arrival order, then decode and count.
+                if chunk:
+                    self._count(chunk)
+                    chunk = []
                 try:
                     payload = base64.b64decode(
                         line[len(RBT_JOURNAL_PREFIX):], validate=True
@@ -480,33 +381,17 @@ class IngestSession:
                         self.journal_record_corrupt += 1
                     continue
                 replayed += 1
-                self.feed_batch(frame, journal=False)
+                self._count(frame)
                 continue
             replayed += 1
-            batch.append(line)
-            if len(batch) >= WORKER_ROUND_LINES:
-                self.feed_lines(batch, journal=False)
-                batch = []
-        if batch:
-            self.feed_lines(batch, journal=False)
-        if replayed:
-            self.flush()
+            chunk.append(line)
+            if len(chunk) >= REPLAY_CHUNK_LINES:
+                self._count(chunk)
+                chunk = []
+        if chunk:
+            self._count(chunk)
         return replayed
 
-    def close(self, *, drain: bool = True, timeout: float = 30.0) -> None:
-        """Stop the worker; with *drain*, count everything queued first."""
-        if self.closed:
-            return
+    def close(self) -> None:
+        """Refuse further input."""
         self.closed = True
-        if not drain:
-            # Abandon queued lines (crash simulation in tests).
-            try:
-                while True:
-                    self._queue.get_nowait()
-            except queue.Empty:
-                pass
-            with self._space:
-                self._pending_lines = 0
-                self._space.notify_all()
-        self._queue.put(_SENTINEL)
-        self._worker.join(timeout)

@@ -33,14 +33,15 @@ accept queue is full the client gets an immediate ``503`` with a
 sessions make ingest embarrassingly parallel across namespaces while
 each session's own lock keeps a single tenant's stream ordered.
 
-Robustness: the ingest queue is bounded (backpressure to the client),
+Robustness: a handler counts a request body as it reads it, so a
+client that sends faster than the daemon counts meets TCP backpressure;
 malformed lines are quarantined against an error budget (HTTP 422 once
 exhausted), a half-sent chunked body is abandoned without corrupting
-session state beyond its own complete lines, SIGTERM drains every
-tenant's queue and snapshots final states, on startup existing
-journals are replayed per namespace, and a **store lockfile** refuses
-to start a second daemon over the same store (which would corrupt the
-journal) rather than failing silently.
+session state beyond its own complete lines, every ``/ingest`` answer
+follows a journal sync, SIGTERM snapshots every tenant's final state,
+on startup existing journals are replayed per namespace, and a **store
+lockfile** refuses to start a second daemon over the same store (which
+would corrupt the journal) rather than failing silently.
 """
 
 from __future__ import annotations
@@ -95,11 +96,12 @@ DEFAULT_CONN_TIMEOUT = 30.0
 RETRY_AFTER_SECONDS = 1
 
 #: GIL switch interval (seconds) while a daemon is live.  Concurrent
-#: tenants run one CPU-bound parser thread each; the default 5 ms
-#: slice makes them convoy on the GIL (~30% aggregate loss measured at
-#: 4 clients).  Coarser slices trade a little request-latency fairness
-#: for batch throughput — the right trade for an ingest daemon.  The
-#: previous value is restored on ``server_close``.
+#: tenants' HTTP handler threads are the parser threads, one CPU-bound
+#: thread per pushing client; the default 5 ms slice makes them convoy
+#: on the GIL (~30% aggregate loss measured at 4 clients).  Coarser
+#: slices trade a little request-latency fairness for batch throughput
+#: — the right trade for an ingest daemon.  The previous value is
+#: restored on ``server_close``.
 INGEST_SWITCH_INTERVAL = 0.05
 
 
@@ -275,9 +277,9 @@ class TenantManager:
         with self._lock:
             return list(self._sessions.values())
 
-    def close_all(self, *, drain: bool = True) -> None:
+    def close_all(self) -> None:
         for session in self.sessions():
-            session.close(drain=drain)
+            session.close()
 
 
 class ObsServer(HTTPServer):
@@ -391,7 +393,7 @@ class ObsServer(HTTPServer):
     # -- drain ----------------------------------------------------------------
 
     def drain_and_stop(self, *, snapshot: bool = True) -> int | None:
-        """The SIGTERM path: stop intake, count everything, snapshot.
+        """The SIGTERM path: stop intake, sync the journal, snapshot.
 
         Every tenant session flushes; with *snapshot*, the default
         session always snapshots (pre-tenant behavior) and other
@@ -418,7 +420,7 @@ class ObsServer(HTTPServer):
                         if is_default:
                             run_id = rid
             for session in sessions:
-                session.close(drain=True)
+                session.close()
         finally:
             self.drained.set()
             # shutdown() must come from another thread than the serve
@@ -621,10 +623,9 @@ class ObsRequestHandler(BaseHTTPRequestHandler):
                     for piece in pieces:
                         session.feed_text(piece.decode("utf-8", errors="replace"))
                     session.end_of_stream()
-            # Flush outside feed_lock: it blocks on the worker (up to
-            # 30 s) and only needs to *follow* this request's enqueues,
-            # which the queue's FIFO order already guarantees — holding
-            # the lock through it would starve every other feeder.
+            # Sync outside feed_lock: the journal fsync covers every
+            # append made so far, this request's included, and other
+            # feeders need not wait for it.
             flushed = session.flush()
         except SessionDegradedError as exc:
             self._send_json(422, {"error": str(exc), "session": session.stats()})
@@ -689,7 +690,15 @@ class ObsRequestHandler(BaseHTTPRequestHandler):
         # Consume any (small) JSON body of extra metadata.
         length = int(self.headers.get("Content-Length") or 0)
         meta: dict[str, Any] = {}
-        if 0 < length <= 1_000_000:
+        if length > 1_000_000:
+            # Left unread, the body would be parsed as the next request
+            # on this keep-alive connection: refuse it and hang up.
+            self._send_json(
+                413, {"error": "metadata body exceeds 1000000 bytes"},
+                extra_headers={"Connection": "close"},
+            )
+            return
+        if length:
             try:
                 meta = json.loads(self.rfile.read(length) or b"{}")
             except ValueError:
@@ -711,11 +720,9 @@ def make_server(
     mount_point: str | None = None,
     suite_name: str = "live",
     store_path: str | None = None,
-    queue_size: int | None = None,
     error_budget: float | None = None,
     recover: bool = True,
     backend: str = "auto",
-    journal_batch: int | None = None,
     workers: int = DEFAULT_WORKERS,
     conn_queue: int = DEFAULT_CONN_QUEUE,
     conn_timeout: float = DEFAULT_CONN_TIMEOUT,
@@ -739,15 +746,11 @@ def make_server(
         store_lock = _StoreLock(store_path)
         store_lock.acquire()
         try:
-            store = open_store(
-                store_path, backend=backend, journal_batch=journal_batch
-            )
+            store = open_store(store_path, backend=backend)
         except BaseException:
             store_lock.release()
             raise
     session_kwargs: dict[str, Any] = {}
-    if queue_size is not None:
-        session_kwargs["queue_size"] = queue_size
     if error_budget is not None:
         session_kwargs["error_budget"] = error_budget
     tenants = TenantManager(

@@ -14,11 +14,12 @@ so concurrent tenants never contend on storage, and a hot namespace
 can be backed up or dropped by moving one directory.
 
 The journal is no longer a SQLite table: each shard appends to a
-CRC-framed, append-only ``journal.rjl`` with **group commit** — one
-``fsync`` per *batch_size* records instead of per record.  A crash can
-tear at most the final unsynced group; replay stops at the first bad
-frame and the torn tail is truncated on reopen (those records were
-never acknowledged as durable).
+CRC-framed, append-only ``journal.rjl`` with **group commit** — appends
+stay unsynced until :meth:`BatchedJournal.sync`, which the daemon calls
+once before it acknowledges a request.  A crash can tear only records
+appended since the last sync; replay stops at the first bad frame and
+the torn tail is truncated on reopen (those records were never
+acknowledged as durable).
 
 Frame layout (big-endian)::
 
@@ -50,9 +51,6 @@ from repro.obs.store import (
 SHARD_MARKER = ".iocov-shards"
 SHARD_DB = "runs.sqlite"
 SHARD_JOURNAL = "journal.rjl"
-
-#: Journal records buffered per fsync (the group-commit knob).
-DEFAULT_JOURNAL_BATCH = 64
 
 _FRAME_HEADER = struct.Struct(">II")
 _MAX_FRAME = 16 * 1024 * 1024  # sanity bound: no journal line is 16 MiB
@@ -94,17 +92,14 @@ def _iter_frames(blob: bytes) -> Iterator[tuple[str, str, int]]:
 class BatchedJournal:
     """Append-only, CRC-framed journal with group-commit durability.
 
-    Records buffer in user space and hit disk with one ``fsync`` per
-    *batch_size* appends; :meth:`sync` forces the pending group down
-    (the ingest path calls it before acknowledging a flush).  On open,
-    any torn tail from a crash mid-group is truncated away.
+    Records buffer in user space until :meth:`sync` (or :meth:`close`)
+    writes the pending group with one ``fsync``; the ingest path syncs
+    before it acknowledges a request.  On open, any torn tail from a
+    crash mid-group is truncated away.
     """
 
-    def __init__(self, path: str, batch_size: int = DEFAULT_JOURNAL_BATCH) -> None:
-        if batch_size < 1:
-            raise ValueError("journal batch_size must be >= 1")
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.batch_size = batch_size
         self._lock = threading.RLock()
         self._counts: dict[str, int] = {}
         self._unsynced = 0
@@ -128,19 +123,18 @@ class BatchedJournal:
         return valid_end
 
     def append(self, session: str, lines: Iterable[str]) -> None:
-        """Record lines; durable once the current group commits."""
+        """Record lines; durable after the next :meth:`sync`."""
         with self._lock:
             for line in lines:
                 self._fh.write(_frame(session, line))
                 self._counts[session] = self._counts.get(session, 0) + 1
                 self._unsynced += 1
-                if self._unsynced >= self.batch_size:
-                    self._commit()
 
     def _commit(self) -> None:
         self._fh.flush()
-        # Group commit *is* fsync-under-lock: batched appends ride one
-        # sync, and writers must not interleave while it lands.
+        # Group commit *is* fsync-under-lock: every append since the
+        # last sync rides one fsync, and writers must not interleave
+        # while it lands.
         os.fsync(self._fh.fileno())  # lint: allow(blocking-under-lock)
         self._unsynced = 0
 
@@ -208,16 +202,14 @@ class _Shard:
     """One namespace's storage: a RunStore plus its batched journal."""
 
     def __init__(self, root: str, tenant: str, project: str,
-                 tcd_target: float, journal_batch: int) -> None:
+                 tcd_target: float) -> None:
         self.tenant = tenant
         self.project = project
         self.dir = os.path.join(root, tenant, project)
         os.makedirs(self.dir, exist_ok=True)
         self.lock = threading.RLock()
         self.store = RunStore(os.path.join(self.dir, SHARD_DB), tcd_target)
-        self.journal = BatchedJournal(
-            os.path.join(self.dir, SHARD_JOURNAL), batch_size=journal_batch
-        )
+        self.journal = BatchedJournal(os.path.join(self.dir, SHARD_JOURNAL))
 
     def close(self) -> None:
         with self.lock:
@@ -236,20 +228,13 @@ class ShardedRunStore(BaseRunStore):
     Args:
         path: store root directory (created, with a marker file).
         tcd_target: uniform TCD target recorded with each run.
-        journal_batch: journal records per fsync (group-commit size).
     """
 
     backend_name = "sharded"
 
-    def __init__(
-        self,
-        path: str,
-        tcd_target: float = DEFAULT_TCD_TARGET,
-        journal_batch: int = DEFAULT_JOURNAL_BATCH,
-    ) -> None:
+    def __init__(self, path: str, tcd_target: float = DEFAULT_TCD_TARGET) -> None:
         self.path = os.path.abspath(path)
         self.tcd_target = tcd_target
-        self.journal_batch = journal_batch
         os.makedirs(self.path, exist_ok=True)
         marker = os.path.join(self.path, SHARD_MARKER)
         if not os.path.exists(marker):
@@ -281,8 +266,7 @@ class ShardedRunStore(BaseRunStore):
         with self._lock:
             shard = self._shards.get(key)
             if shard is None:
-                shard = _Shard(self.path, tenant, project,
-                               self.tcd_target, self.journal_batch)
+                shard = _Shard(self.path, tenant, project, self.tcd_target)
                 self._shards[key] = shard
             return shard
 
@@ -506,12 +490,7 @@ class ShardedRunStore(BaseRunStore):
             shard.close()
 
 
-def migrate_single_to_sharded(
-    src_path: str,
-    dest_path: str,
-    *,
-    journal_batch: int = DEFAULT_JOURNAL_BATCH,
-) -> dict[str, Any]:
+def migrate_single_to_sharded(src_path: str, dest_path: str) -> dict[str, Any]:
     """Copy a single-file store into a fresh sharded root.
 
     Every run and journal record lands in the shard matching its
@@ -528,8 +507,7 @@ def migrate_single_to_sharded(
     if os.path.exists(os.path.join(dest_path, SHARD_MARKER)):
         raise FileExistsError(f"{dest_path!r} is already a sharded store")
     src = RunStore(src_path)
-    dest = ShardedRunStore(dest_path, tcd_target=src.tcd_target,
-                           journal_batch=journal_batch)
+    dest = ShardedRunStore(dest_path, tcd_target=src.tcd_target)
     summary: dict[str, Any] = {"runs": {}, "journal_records": {}}
     try:
         for record in sorted(src.list_runs(), key=lambda r: r.run_id):

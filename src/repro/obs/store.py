@@ -12,7 +12,7 @@ Two backends implement one abstract interface (:class:`BaseRunStore`):
 * :class:`~repro.obs.sharded.ShardedRunStore` — a directory-backed
   store that maps each ``tenant/project`` namespace to its own SQLite
   shard with a per-shard lock and a write-batched crash-recovery
-  journal file (group commit: N records per fsync).
+  journal file (group commit: one fsync per acknowledged request).
 
 Every run (and journal record) belongs to a ``tenant/project``
 namespace; the default namespace is ``default/default`` so pre-tenant
@@ -787,16 +787,13 @@ def open_store(
     *,
     backend: str = "auto",
     tcd_target: float = DEFAULT_TCD_TARGET,
-    journal_batch: int | None = None,
 ) -> BaseRunStore:
     """Open a run store, picking the backend from the path shape.
 
     ``backend="auto"`` (the default) chooses sharded when *path* is an
     existing directory, carries the sharded marker file, or ends with a
     path separator; otherwise the single-file SQLite backend.  Pass
-    ``"single"`` or ``"sharded"`` to force one.  *journal_batch* (the
-    group-commit size) applies to the sharded backend and is ignored by
-    the single-file one, whose SQLite journal commits per append.
+    ``"single"`` or ``"sharded"`` to force one.
 
     Raises:
         ValueError: unknown *backend* name.
@@ -816,8 +813,5 @@ def open_store(
         else:
             backend = "single"
     if backend == "sharded":
-        kwargs: dict[str, Any] = {}
-        if journal_batch is not None:
-            kwargs["journal_batch"] = journal_batch
-        return ShardedRunStore(path, tcd_target=tcd_target, **kwargs)
+        return ShardedRunStore(path, tcd_target=tcd_target)
     return RunStore(path, tcd_target=tcd_target)

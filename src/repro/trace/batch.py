@@ -211,7 +211,6 @@ class LttngBatchParser:
         self._ints = CappedMemo(int, _INT_MEMO_CAP)
         self._pending: dict[tuple[int, str], list] = {}
         self.orphan_exits = 0
-        self.events_parsed = 0
         #: indices, within the last parsed chunk's lines, of the lines
         #: the grammar rejected (only the fallback can find any).
         self.malformed_positions: list[int] = []
@@ -246,13 +245,10 @@ class LttngBatchParser:
             rows = self._consume_lines(split_lines(chunk))
         else:
             self.malformed_positions = []
-        self.events_parsed += len(rows)
         return rows
 
     def parse_lines(self, lines: Iterable[str]) -> list[Row]:
-        rows = self._consume_lines(lines)
-        self.events_parsed += len(rows)
-        return rows
+        return self._consume_lines(lines)
 
     def iter_file_batches(
         self, path: str, chunk_chars: int = DEFAULT_CHUNK_CHARS
@@ -446,7 +442,6 @@ class StraceBatchParser:
         self._parser = StraceParser()
         self._ints = CappedMemo(int, _INT_MEMO_CAP)
         self._args = CappedMemo(_parse_arg, _ARG_MEMO_CAP)
-        self.events_parsed = 0
         #: see :attr:`LttngBatchParser.malformed_positions`
         self.malformed_positions: list[int] = []
 
@@ -478,17 +473,12 @@ class StraceBatchParser:
                     row = build(*groups)
                     if row is not None:
                         rows.append(row)
-                self.events_parsed += len(rows)
                 self.malformed_positions = []
                 return rows
-        rows = self._consume_lines(split_lines(chunk))
-        self.events_parsed += len(rows)
-        return rows
+        return self._consume_lines(split_lines(chunk))
 
     def parse_lines(self, lines: Iterable[str]) -> list[Row]:
-        rows = self._consume_lines(lines)
-        self.events_parsed += len(rows)
-        return rows
+        return self._consume_lines(lines)
 
     def iter_file_batches(
         self, path: str, chunk_chars: int = DEFAULT_CHUNK_CHARS
@@ -546,9 +536,8 @@ class SyzkallerBatchParser:
 
     format = "syzkaller"
 
-    def __init__(self, resources=None) -> None:
-        self._parser = SyzkallerParser(resources)
-        self.events_parsed = 0
+    def __init__(self) -> None:
+        self._parser = SyzkallerParser()
         #: see :attr:`LttngBatchParser.malformed_positions`
         self.malformed_positions: list[int] = []
 
@@ -577,17 +566,12 @@ class SyzkallerBatchParser:
                 build = self._row_from_groups
                 for groups in matches:
                     rows.append(build(*groups))
-                self.events_parsed += len(rows)
                 self.malformed_positions = []
                 return rows
-        rows = self._consume_lines(split_lines(chunk))
-        self.events_parsed += len(rows)
-        return rows
+        return self._consume_lines(split_lines(chunk))
 
     def parse_lines(self, lines: Iterable[str]) -> list[Row]:
-        rows = self._consume_lines(lines)
-        self.events_parsed += len(rows)
-        return rows
+        return self._consume_lines(lines)
 
     def iter_file_batches(
         self, path: str, chunk_chars: int = DEFAULT_CHUNK_CHARS

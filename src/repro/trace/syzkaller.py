@@ -24,7 +24,7 @@ outputs from such traces.
 from __future__ import annotations
 
 import re
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator
 
 from repro.trace.events import SyscallEvent, make_event, split_lines
 from repro.trace.strace import SYSCALL_SIGNATURES
@@ -79,24 +79,16 @@ def _split_args(text: str) -> list[str]:
 
 
 class SyzkallerParser:
-    """Parses syzkaller reproducer/log programs into input-only events.
+    """Parses syzkaller reproducer/log programs into input-only events."""
 
-    Args:
-        resources: initial resource table (``r0`` -> placeholder fd),
-            to resume parsing mid-program with the bindings earlier
-            lines established.  The placeholder allocator continues
-            from the table's size, so a resumed parse assigns the same
-            fds a sequential parse would.
-    """
-
-    def __init__(self, resources: Mapping[str, int] | None = None) -> None:
+    def __init__(self) -> None:
         self.skipped_lines = 0
         #: lines the program grammar rejected (for syzkaller every
         #: skipped line is a grammar reject: comments and blanks
         #: return None without counting).
         self.malformed_lines = 0
         #: resource name (r0) -> placeholder fd value
-        self._resources: dict[str, int] = dict(resources or {})
+        self._resources: dict[str, int] = {}
 
     def _decode_arg(self, token: str) -> Any:
         token = token.strip()

@@ -114,7 +114,7 @@ def test_binary_journal_recovery(tmp_path, mini_rbt, mini_report):
     assert journaled and all(
         line.startswith(RBT_JOURNAL_PREFIX) for line in journaled
     )
-    session.close(drain=True)
+    session.close()
 
     fresh = IngestSession(
         "lttng", mount_point=MINI_MOUNT, suite_name="mini", store=store
@@ -142,7 +142,7 @@ def _recovered(path, corrupt: str | None, rows):
     if corrupt is not None:
         store.journal_append("live", [RBT_JOURNAL_PREFIX + corrupt])
     session.feed_batch(EventBatch.from_rows(rows[half:]))
-    session.close(drain=True)
+    session.close()
     fresh = IngestSession(
         "lttng", mount_point=MINI_MOUNT, suite_name="mini", store=store
     )

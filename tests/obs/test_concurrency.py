@@ -96,6 +96,17 @@ def test_concurrent_pushes_one_tenant_serialized(server, mini_trace,
     assert session["parse_errors"] == 0
 
 
+def test_push_costs_one_journal_fsync(server, mini_trace, monkeypatch):
+    """One acknowledged push is one journal fsync, however many lines."""
+    syncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: syncs.append(fd) or real_fsync(fd))
+    answer = push_file(_url(server), mini_trace)
+    assert answer["flushed"] is True
+    assert server.session.lines_received == 240
+    assert len(syncs) == 1
+
+
 def test_torn_final_group_replay(tmp_path, mini_trace):
     """Recovery replays every intact journal record, drops the torn tail."""
     store_root = str(tmp_path / "shards")
@@ -109,7 +120,7 @@ def test_torn_final_group_replay(tmp_path, mini_trace):
     push_file(_url(srv), mini_trace, tenant="acme")
     # Crash: no drain, no snapshot; the shard journal is the survivor.
     for session in srv.tenants.sessions():
-        session.close(drain=False)
+        session.close()
     srv.shutdown()
     thread.join(timeout=10)
     srv.server_close()

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
-import pytest
+import os
+import tempfile
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.analyzer import IOCov
 from repro.obs.ingest import IngestSession, SessionDegradedError
+from repro.obs.sharded import ShardedRunStore
 from repro.obs.store import RunStore
-from tests.obs.conftest import MINI_MOUNT
+from tests.obs.conftest import MINI_MOUNT, MINI_TRACE
+
+with open(MINI_TRACE) as _handle:
+    MINI_TEXT = _handle.read()
 
 
 @pytest.fixture
@@ -102,9 +112,9 @@ def test_crash_recovery_replays_journal(tmp_path, mini_trace, mini_report):
     with open(mini_trace) as handle:
         lines = handle.read().splitlines()
     session.feed_lines(lines)
-    # Crash: the worker dies with the queue still full; no flush, no
-    # snapshot.  The journal is the only durable record.
-    session.close(drain=False)
+    # Crash: no flush, no snapshot.  The journal is the only durable
+    # record.
+    session.close()
     store.close()
 
     store = RunStore(path)
@@ -120,6 +130,81 @@ def test_crash_recovery_replays_journal(tmp_path, mini_trace, mini_report):
     finally:
         fresh.close()
         store.close()
+
+
+def test_count_fault_raises_and_journal_recovers(
+    tmp_path, mini_trace, mini_report, monkeypatch
+):
+    """An error while counting reaches the feeder, and the lines it
+    was counting are already journaled: a restart recovers them."""
+    real_consume = IOCov.consume_batch
+    faults = [RuntimeError("injected count fault")]
+
+    def consume_batch(self, batch):
+        if faults:
+            raise faults.pop()
+        return real_consume(self, batch)
+
+    monkeypatch.setattr(IOCov, "consume_batch", consume_batch)
+    store = RunStore(str(tmp_path / "runs.sqlite"))
+    session = IngestSession("lttng", mount_point=MINI_MOUNT, store=store)
+    with open(mini_trace) as handle:
+        lines = handle.read().splitlines()
+    with pytest.raises(RuntimeError, match="injected count fault"):
+        session.feed_lines(lines)
+    session.close()
+
+    fresh = IngestSession(
+        "lttng", mount_point=MINI_MOUNT, suite_name="mini", store=store
+    )
+    try:
+        assert fresh.recover() == len(lines)
+        assert fresh.report().to_dict() == mini_report.to_dict()
+    finally:
+        fresh.close()
+        store.close()
+
+
+@pytest.mark.parametrize("backend", ("single", "sharded"))
+@given(
+    cut=st.integers(0, len(MINI_TEXT)),
+    pieces=st.lists(st.integers(1, 4000), min_size=1, max_size=4),
+)
+@settings(max_examples=25, deadline=None)
+def test_kill_at_random_line_recovers_exactly(backend, cut, pieces):
+    """A session dead after any prefix recovers to exactly its state,
+    which is the one-shot count of the complete lines it was fed."""
+    prefix = MINI_TEXT[:cut]
+    with tempfile.TemporaryDirectory() as directory:
+        if backend == "single":
+            store = RunStore(os.path.join(directory, "runs.sqlite"))
+        else:
+            store = ShardedRunStore(os.path.join(directory, "shards"))
+        try:
+            dead = IngestSession(
+                "lttng", mount_point=MINI_MOUNT, suite_name="mini", store=store
+            )
+            start = index = 0
+            while start < len(prefix):
+                size = pieces[index % len(pieces)]
+                dead.feed_text(prefix[start:start + size])
+                start += size
+                index += 1
+            dead.close()  # killed: no end of stream, no flush, no snapshot
+            fresh = IngestSession(
+                "lttng", mount_point=MINI_MOUNT, suite_name="mini", store=store
+            )
+            fresh.recover()
+            complete = prefix[:prefix.rfind("\n") + 1]
+            path = os.path.join(directory, "complete.lttng.txt")
+            with open(path, "w") as handle:
+                handle.write(complete)
+            want = IOCov(mount_point=MINI_MOUNT, suite_name="mini")
+            want.consume_lttng_file(path)
+            assert fresh.report().to_json() == dead.report().to_json()
+            assert fresh.report().to_json() == want.report().to_json()
+        finally:
+            store.close()
 
 
 def test_snapshot_to_store_clears_journal(tmp_path, mini_trace, mini_report):

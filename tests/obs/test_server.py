@@ -133,6 +133,44 @@ def test_runs_snapshot_and_listing(server, mini_trace, mini_report):
     assert latest["run"]["run_id"] == run_id
 
 
+def test_runs_metadata_body_is_stored(server):
+    status, document = _post(
+        server, "/runs", json.dumps({"ci_job": "nightly"}).encode("utf-8")
+    )
+    assert status == 201
+    run_id = document["run"]["run_id"]
+    assert server.store.get_run(run_id).meta["ci_job"] == "nightly"
+
+
+def test_oversized_runs_metadata_is_413(server):
+    """An oversized body is refused and its connection closed, so the
+    unread body is never parsed as the connection's next request."""
+    host, port = server.server_address[:2]
+    body = json.dumps({"pad": "x" * 1_200_000}).encode("utf-8")
+    head = f"POST /runs HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n\r\n"
+    answer = b""
+    with socket.create_connection((host, port), timeout=10) as sock:
+
+        def send() -> None:
+            try:
+                sock.sendall(head.encode("ascii") + body)
+            except OSError:
+                pass  # the daemon may hang up before the body is sent
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        try:
+            while piece := sock.recv(65536):
+                answer += piece
+        except ConnectionResetError:
+            pass
+        sender.join(timeout=10)
+    assert not sender.is_alive()
+    assert answer.startswith(b"HTTP/1.1 413 "), answer[:200]
+    assert server.store.list_runs() == []
+    assert fetch_json(_url(server), "/healthz")["status"] == "ok"
+
+
 def test_unknown_paths_404(server):
     with pytest.raises(PushError) as excinfo:
         fetch_json(_url(server), "/nope")
@@ -206,7 +244,7 @@ def test_bad_chunk_size_is_400(server):
 
 
 def test_drain_counts_in_flight_lines(tmp_path, mini_trace, mini_report):
-    """SIGTERM semantics: queued-but-uncounted lines land in the final
+    """SIGTERM semantics: lines fed without a flush land in the final
     snapshot, and intake refuses new work while draining."""
     store_path = str(tmp_path / "drain.sqlite")
     srv, _ = make_server(
@@ -217,7 +255,7 @@ def test_drain_counts_in_flight_lines(tmp_path, mini_trace, mini_report):
     thread.start()
     with open(mini_trace) as handle:
         lines = handle.read().splitlines()
-    # Enqueue without flushing — the drain must pick these up.
+    # Feed without flushing — the drain snapshot must hold these.
     srv.session.feed_lines(lines)
     run_id = srv.drain_and_stop(snapshot=True)
     thread.join(timeout=10)
@@ -256,7 +294,7 @@ def test_recovery_after_simulated_crash(tmp_path, mini_trace, mini_report):
     thread.start()
     push_file(_url(srv), mini_trace)
     # Crash: no drain, no snapshot; journal is the only survivor.
-    srv.session.close(drain=False)
+    srv.session.close()
     srv.shutdown()
     thread.join(timeout=10)
     srv.server_close()

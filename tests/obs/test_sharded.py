@@ -22,7 +22,7 @@ from repro.obs.store import NamespaceError, RunStore, open_store
 
 
 def test_journal_round_trip(tmp_path):
-    journal = BatchedJournal(str(tmp_path / "j.rjl"), batch_size=4)
+    journal = BatchedJournal(str(tmp_path / "j.rjl"))
     journal.append("live", ["line one", "line two"])
     journal.append("other", ["elsewhere"])
     journal.sync()
@@ -35,40 +35,40 @@ def test_journal_round_trip(tmp_path):
 
 def test_journal_survives_reopen(tmp_path):
     path = str(tmp_path / "j.rjl")
-    journal = BatchedJournal(path, batch_size=2)
+    journal = BatchedJournal(path)
     journal.append("live", [f"line {i}" for i in range(5)])
-    journal.close()  # close commits the pending group
-    reopened = BatchedJournal(path, batch_size=2)
+    journal.close()  # close syncs the pending group
+    reopened = BatchedJournal(path)
     assert list(reopened.lines("live")) == [f"line {i}" for i in range(5)]
     assert reopened.size("live") == 5
     reopened.close()
 
 
 def test_journal_group_commit_defers_fsync(tmp_path, monkeypatch):
-    """Only one fsync per *batch_size* records, not one per record."""
+    """Appends cost no fsync; one sync commits them all with one."""
     syncs = []
     real_fsync = os.fsync
     monkeypatch.setattr(os, "fsync", lambda fd: syncs.append(fd) or real_fsync(fd))
-    journal = BatchedJournal(str(tmp_path / "j.rjl"), batch_size=8)
+    journal = BatchedJournal(str(tmp_path / "j.rjl"))
     journal.append("live", [f"line {i}" for i in range(17)])
-    assert len(syncs) == 2  # records 8 and 16 committed; 17 still pending
+    assert syncs == []
     journal.sync()
-    assert len(syncs) == 3
+    assert len(syncs) == 1
     journal.sync()  # nothing pending: no extra fsync
-    assert len(syncs) == 3
+    assert len(syncs) == 1
     journal.close()
 
 
 def test_journal_truncates_torn_tail(tmp_path):
     """A crash mid-group leaves a torn frame; reopen drops only that."""
     path = str(tmp_path / "j.rjl")
-    journal = BatchedJournal(path, batch_size=1)
+    journal = BatchedJournal(path)
     journal.append("live", ["intact one", "intact two"])
     journal.close()
     good_size = os.path.getsize(path)
     with open(path, "ab") as fh:  # a frame cut off mid-payload
         fh.write(struct.pack(">II", 100, 0) + b"torn")
-    reopened = BatchedJournal(path, batch_size=1)
+    reopened = BatchedJournal(path)
     assert list(reopened.lines("live")) == ["intact one", "intact two"]
     assert os.path.getsize(path) == good_size
     reopened.append("live", ["after recovery"])
@@ -78,22 +78,23 @@ def test_journal_truncates_torn_tail(tmp_path):
 
 def test_journal_rejects_corrupt_crc(tmp_path):
     path = str(tmp_path / "j.rjl")
-    journal = BatchedJournal(path, batch_size=1)
+    journal = BatchedJournal(path)
     journal.append("live", ["good record", "to be corrupted"])
     journal.close()
     with open(path, "r+b") as fh:
         fh.seek(-1, os.SEEK_END)
         fh.write(b"\xff")  # flip the final payload byte: CRC mismatch
-    reopened = BatchedJournal(path, batch_size=1)
+    reopened = BatchedJournal(path)
     assert list(reopened.lines("live")) == ["good record"]
     reopened.close()
 
 
 def test_journal_clear_compacts_other_sessions_survive(tmp_path):
     path = str(tmp_path / "j.rjl")
-    journal = BatchedJournal(path, batch_size=1)
+    journal = BatchedJournal(path)
     journal.append("live", ["a" * 1000, "b" * 1000])
     journal.append("keep", ["short"])
+    journal.sync()
     size_before = os.path.getsize(path)
     journal.clear("live")
     assert os.path.getsize(path) < size_before
@@ -103,17 +104,12 @@ def test_journal_clear_compacts_other_sessions_survive(tmp_path):
     journal.close()
 
 
-def test_journal_batch_size_validated(tmp_path):
-    with pytest.raises(ValueError):
-        BatchedJournal(str(tmp_path / "j.rjl"), batch_size=0)
-
-
 # -- ShardedRunStore ---------------------------------------------------------
 
 
 @pytest.fixture
 def sharded(tmp_path):
-    store = ShardedRunStore(str(tmp_path / "shards"), journal_batch=4)
+    store = ShardedRunStore(str(tmp_path / "shards"))
     yield store
     store.close()
 

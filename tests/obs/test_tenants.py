@@ -50,6 +50,14 @@ def _get_raw(server, path: str) -> tuple[int, str]:
         conn.close()
 
 
+def test_session_reads_start_no_threads(server):
+    """A namespace's session costs no thread, even one only read."""
+    before = threading.active_count()
+    for index in range(200):
+        fetch_json(_url(server), f"/t/reader{index}/session")
+    assert threading.active_count() == before
+
+
 def test_tenant_path_builder():
     assert tenant_path("/ingest") == "/ingest"
     assert tenant_path("/ingest", "default", "default") == "/ingest"
@@ -148,10 +156,10 @@ def test_lock_released_after_close(tmp_path):
     store_path = str(tmp_path / "runs.sqlite")
     srv, _ = make_server("127.0.0.1", 0, fmt="lttng",
                          mount_point=MINI_MOUNT, store_path=store_path)
-    srv.session.close(drain=False)
+    srv.session.close()
     srv.server_close()
     # A later daemon (the restart path) must be able to take the lock.
     srv2, _ = make_server("127.0.0.1", 0, fmt="lttng",
                           mount_point=MINI_MOUNT, store_path=store_path)
-    srv2.session.close(drain=False)
+    srv2.session.close()
     srv2.server_close()

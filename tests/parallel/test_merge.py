@@ -1,7 +1,5 @@
 """Unit tests for coverage-state merging and the one-pass partition status."""
 
-import pickle
-
 import pytest
 
 from repro.core import IOCov
@@ -81,24 +79,3 @@ def test_partition_status_single_pass_consistency():
     assert set(tested) | set(untested) == set(cov.domain())
     assert not set(tested) & set(untested)
     assert cov.coverage_ratio() == len(tested) / len(cov.domain())
-
-
-def test_classify_cache_not_pickled():
-    iocov = IOCov().consume(_events_a())
-    arg = iocov.input.arg("open", "flags")
-    assert arg._classify_cache  # populated by the consume above
-    clone = pickle.loads(pickle.dumps(arg))
-    assert clone._classify_cache == {}
-    assert clone.counts == arg.counts
-    # the clone still classifies (cache rebuilds on demand)
-    clone.record(0x41)
-    assert clone.counts != arg.counts
-
-
-def test_output_cache_not_pickled():
-    iocov = IOCov().consume(_events_a())
-    out = iocov.output.syscall("write")
-    assert out._classify_cache
-    clone = pickle.loads(pickle.dumps(out))
-    assert clone._classify_cache == {}
-    assert clone.counts == out.counts

@@ -19,13 +19,11 @@ from repro.trace.batch import (
     EventBatch,
     LttngBatchParser,
     StraceBatchParser,
-    SyzkallerBatchParser,
     make_batch_parser,
 )
 from repro.trace.events import make_event
 from repro.trace.lttng import LttngParser, LttngWriter
 from repro.trace.strace import StraceParser
-from repro.trace.syzkaller import SyzkallerParser
 
 # -- corpora --------------------------------------------------------------------
 
@@ -325,17 +323,6 @@ def test_strace_fast_path_handles_commas_inside_strings():
     event = StraceParser().parse_line(line)
     assert batch_rows[0][1] == event.args
     assert batch_rows[0][1]["oldpath"] == "/mnt/a,b,c"
-
-
-def test_syzkaller_resource_snapshot_injection():
-    # A parser seeded with a mid-file resource table (the sharded
-    # executor's pre-scan) resolves references it never saw bound.
-    parser = SyzkallerBatchParser(resources={"r5": 8})
-    rows = parser.parse_chunk("write(r5, &(0x7f0000000080), 0x10)\n")
-    assert rows[0][1]["fd"] == 8
-    ref = SyzkallerParser({"r5": 8})
-    event = ref.parse_line("write(r5, &(0x7f0000000080), 0x10)")
-    assert rows[0][1] == event.args
 
 
 def _memos(parser) -> list[dict]:
