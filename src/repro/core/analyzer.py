@@ -21,11 +21,11 @@ paper claims for the prototype.
 
 Every ingest path ends in one counting loop over row tuples
 ``(name, args, retval, errno, pid, comm, timestamp)``: the batch
-parsers and the ``.rbt`` decoder produce rows directly, and
-:meth:`IOCov.consume` adapts :class:`SyscallEvent` objects to rows at
-the edge.  The loop filters every event but credits *shapes*: admitted
-events that agree on everything counting reads are tallied and
-credited once per call with their multiplicity (in parts past
+parsers and the ``.rbt`` decoder produce rows directly, and a
+:class:`SyscallEvent` is such a row, so :meth:`IOCov.consume` counts
+events as they come.  The loop filters every event but credits
+*shapes*: admitted events that agree on everything counting reads are
+tallied and credited once per call with their multiplicity (in parts past
 ``_TALLY_CAP`` distinct shapes), in first-appearance order, which
 leaves the same counts in the same order as crediting event by event.
 Test suites repeat the same calls, so a batch of tens of thousands of
@@ -56,7 +56,7 @@ from repro.core.output_coverage import OutputCoverage
 from repro.core.report import CoverageReport
 from repro.core.variants import CREAT_IMPLIED_FLAGS, VariantHandler
 from repro.trace.batch import EventBatch, make_batch_parser
-from repro.trace.events import SyscallEvent, event_row
+from repro.trace.events import SyscallEvent
 
 _MISSING = object()
 
@@ -176,8 +176,8 @@ class IOCov:
         """The counting loop: filter, then credit admitted events by shape.
 
         Every ingest path ends here.  Events arrive as ``(name, args,
-        retval, errno, pid, comm, timestamp)`` tuples, so the hot path
-        never constructs a :class:`SyscallEvent`.
+        retval, errno, pid, comm, timestamp)`` tuples: parser rows, or
+        :class:`SyscallEvent` rows from :meth:`consume`.
 
         Admitted events are tallied by *shape*: the name, retval, errno
         and the class and value of each tracked argument — everything
@@ -265,7 +265,7 @@ class IOCov:
         generator — it is consumed strictly one event at a time.
         """
         self.filter.reset()
-        self._ingest_rows(map(event_row, events))
+        self._ingest_rows(events)
         return self
 
     def _consume_text_file(self, path: str, fmt: str) -> "IOCov":

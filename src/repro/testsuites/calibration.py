@@ -14,6 +14,11 @@ Ordering matters: auxiliary ops, then write sizes, then error
 scenarios, and open-flag combinations last — open/close pairs are the
 only pure-open activity, so they can absorb whatever flag usage the
 earlier phases added.
+
+Each residual is measured against a tally of the trace so far.  The
+tally reads events in place and counts their shapes (base call, open
+flags or write count, errno), so a trace of ~100k events costs one pass
+and one flag decode per distinct shape, not a copy of every event.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Callable
 
 from repro.core.argspec import OPEN_FLAGS_ARG, base_name
 from repro.core.partition import BitmapPartitioner, NumericPartitioner
-from repro.core.variants import VariantHandler
+from repro.core.variants import CREAT_IMPLIED_FLAGS
 from repro.testsuites.base import SuiteContext
 from repro.testsuites.profiles import SuiteProfile
 from repro.trace.recorder import TraceRecorder
@@ -49,38 +54,45 @@ class CalibrationDriver:
         self.profile = profile
         self._decoder = BitmapPartitioner(OPEN_FLAGS_ARG)
         self._bucketer = NumericPartitioner(include_negative=False)
-        self._variants = VariantHandler()
 
     # ------------------------------------------------------------------
     # observation
     # ------------------------------------------------------------------
 
     def _observed(self, recorder: TraceRecorder):
-        """Tally what the trace already contains, per calibrated axis."""
+        """Tally what the trace already contains, per calibrated axis.
+
+        Events are tallied by the shape the axes read: base name, open
+        flags (creat's implied ones when it has none) or write count,
+        and an open's errno.  Each distinct shape is then decoded or
+        bucketed once.
+        """
+        shapes: Counter = Counter()
+        for name, args, _retval, errno, _pid, _comm, _ts in recorder.iter_events():
+            base = base_name(name)
+            if base in _OPEN_BASES:
+                flags = args.get("flags", CREAT_IMPLIED_FLAGS if name == "creat" else None)
+                shapes[base, flags if isinstance(flags, int) else None, errno] += 1
+            elif base in _WRITE_BASES:
+                count = args.get("count")
+                valid = isinstance(count, int) and count >= 0
+                shapes[base, count if valid else None, 0] += 1
+            else:
+                shapes[base or name, None, 0] += 1
         combos: Counter = Counter()
         write_buckets: Counter = Counter()
         open_errors: Counter = Counter()
         base_counts: Counter = Counter()
-        for event in recorder.iter_events():
-            base = base_name(event.name)
-            if base is None:
-                base_counts[event.name] += 1
-                continue
-            base_counts[base] += 1
-            normalized = self._variants.normalize(event)
-            assert normalized is not None
-            _, args = normalized
+        for (base, value, errno), n in shapes.items():
+            base_counts[base] += n
             if base in _OPEN_BASES:
-                flags = args.get("flags")
-                if isinstance(flags, int):
-                    combos[frozenset(self._decoder.decode(flags))] += 1
-                if event.errno:
-                    open_errors[errno_name(event.errno)] += 1
-            elif base in _WRITE_BASES:
-                count = args.get("count")
-                if isinstance(count, int) and count >= 0:
-                    for key in self._bucketer.classify(count):
-                        write_buckets[key] += 1
+                if value is not None:
+                    combos[frozenset(self._decoder.decode(value))] += n
+                if errno:
+                    open_errors[errno_name(errno)] += n
+            elif base in _WRITE_BASES and value is not None:
+                for key in self._bucketer.classify(value):
+                    write_buckets[key] += n
         return combos, write_buckets, open_errors, base_counts
 
     # ------------------------------------------------------------------

@@ -28,9 +28,10 @@ Throughput notes: the chunk grammars validate all structure inside the
 regex engine (one C call per chunk), field/argument parsing is memoized
 per parser on the part strings that repeat across a trace
 (``flags = 577``, ``AT_FDCWD``), and each event costs one tuple append
-instead of a dataclass construction.  For LTTng, an entry followed by
-its own exit is one ``findall`` match that bypasses the pairing table,
-and each parser parses a repeated field block once (see
+instead of a :func:`~repro.trace.events.make_event` args copy.  For
+LTTng, an entry followed by its own exit is one ``findall`` match that
+bypasses the pairing table, and each parser parses a repeated field
+block once (see
 :meth:`~repro.trace.lttng.LttngParser.entry_fields`).
 """
 
@@ -39,13 +40,7 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, Iterator
 
-from repro.trace.events import (
-    CappedMemo,
-    SyscallEvent,
-    event_from_row,
-    event_row,
-    split_lines,
-)
+from repro.trace.events import CappedMemo, SyscallEvent, event_from_row, split_lines
 from repro.trace.lttng import LttngParser, _WRITER_RE_M, pair_row
 from repro.trace.strace import (
     _CALL_PATTERN as _STRACE_PATTERN,
@@ -373,7 +368,7 @@ def _per_line_rows(self, lines: Iterable[str]) -> list[Row]:
         malformed = parser.malformed_lines
         event = parser.parse_line(line)
         if event is not None:
-            rows.append(event_row(event))
+            rows.append(event)
         elif parser.malformed_lines != malformed:
             bad.append(index)
     self.malformed_positions = bad

@@ -6,6 +6,11 @@ and its outcome.  The schema deliberately matches what LTTng's syscall
 tracepoints provide (entry arguments + exit return value), flattened
 into a single record the way the IOCov prototype's analyzer sees them.
 
+An event is a named 7-field row ``(name, args, retval, errno, pid,
+comm, timestamp)``: the tuple every parser, the ``.rbt`` decoder and
+the analyzer's counting loop carry, so an event the VFS emits is
+counted as it is.
+
 This module has no dependency on the VFS so that trace parsing and
 analysis can run on externally captured traces without pulling in the
 simulator.
@@ -13,13 +18,10 @@ simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 
-@dataclass(frozen=True)
-class SyscallEvent:
+class SyscallEvent(NamedTuple):
     """One traced syscall invocation.
 
     Attributes:
@@ -75,29 +77,14 @@ def make_event(
     timestamp: int = 0,
 ) -> SyscallEvent:
     """Construct a :class:`SyscallEvent` with a defensive args copy."""
-    return SyscallEvent(
-        name=name,
-        args=dict(args),
-        retval=retval,
-        errno=errno,
-        pid=pid,
-        comm=comm,
-        timestamp=timestamp,
-    )
-
-
-#: SyscallEvent -> ``(name, args, retval, errno, pid, comm, timestamp)``
-#: row, the inverse of :func:`event_from_row`.
-event_row = attrgetter("name", "args", "retval", "errno", "pid", "comm", "timestamp")
+    return SyscallEvent(name, dict(args), retval, errno, pid, comm, timestamp)
 
 
 def event_from_row(row: tuple) -> SyscallEvent:
-    """Build an event from a ``(name, args, retval, errno, pid, comm,
-    timestamp)`` row, the form parsers and the analyzer carry events in."""
+    """Build an event, with its own args dict, from a ``(name, args,
+    retval, errno, pid, comm, timestamp)`` row."""
     name, args, retval, errno, pid, comm, timestamp = row
-    return make_event(
-        name, args, retval, errno, pid=pid, comm=comm, timestamp=timestamp
-    )
+    return SyscallEvent(name, dict(args), retval, errno, pid, comm, timestamp)
 
 
 def split_lines(text: str) -> list[str]:

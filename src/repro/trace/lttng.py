@@ -17,12 +17,18 @@ recorder output or an on-disk trace file:
 Each syscall becomes an entry/exit line pair keyed by name; the parser
 pairs them back up (per pid, in order) into flattened events.  A
 parser memoizes the field blocks it has parsed, since test suites
-repeat the same calls over and over.
+repeat the same calls over and over; a writer likewise memoizes the
+constant heads of its lines.
+
+A quoted value escapes ``\\``, ``"`` and a newline (as ``\n``), so a
+string argument holding braces, quotes or line breaks stays inside its
+field block and its line.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Any, Iterable, Iterator, Mapping, TextIO
 
 from repro.trace.events import CappedMemo, SyscallEvent, event_from_row, split_lines
@@ -39,7 +45,8 @@ _LINE_RE = re.compile(
     r"(?P<rest>.*)$"
 )
 
-_FIELD_BLOCK_RE = re.compile(r"\{([^{}]*)\}")
+#: A ``{ ... }`` field block; quoted values may hold braces.
+_FIELD_BLOCK_RE = re.compile(r'\{((?:[^{}"]|"(?:[^"\\]|\\.)*")*)\}')
 _FIELD_RE = re.compile(r"(\w+)\s*=\s*(\"(?:[^\"\\]|\\.)*\"|[^,]+)")
 
 _NAME_RE = re.compile(r"\w+\Z")
@@ -94,9 +101,19 @@ _WRITER_RE_M = re.compile(
 #: memo that stopped filling would lose it.
 _FIELD_MEMO_CAP = 1024
 
-#: Most "HH:MM:SS" labels one parser memoizes.  Traces advance through
-#: at most 86 400 distinct wall-second labels per day.
+#: Most "HH:MM:SS" labels one parser or writer memoizes.  Traces advance
+#: through at most 86 400 distinct wall-second labels per day.
 _TS_MEMO_CAP = 65536
+
+#: Most ``(name, comm, pid)`` line-head pairs one writer memoizes.
+_HEAD_MEMO_CAP = 4096
+
+#: Events :meth:`LttngWriter.write` formats per ``stream.write`` call.
+_WRITE_BATCH = 2048
+
+#: The escapes a quoted value may carry, undone in one pass.
+_ESCAPE_RE = re.compile(r'\\([\\"n])')
+_UNESCAPED = {"\\": "\\", '"': '"', "n": "\n"}
 
 #: Most "key = value" field parts one parser memoizes.  Field parts
 #: repeat heavily across a trace (``flags = 577``, ``mode = 420``) while
@@ -115,7 +132,7 @@ def _format_value(value: Any) -> str:
     if value is None:
         return "0x0"
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
+        escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         return f'"{escaped}"'
     if isinstance(value, bool):
         return str(int(value))
@@ -129,8 +146,7 @@ def _format_value(value: Any) -> str:
 def _parse_value(text: str) -> Any:
     text = text.strip()
     if text.startswith('"') and text.endswith('"'):
-        body = text[1:-1]
-        return body.replace('\\"', '"').replace("\\\\", "\\")
+        return _ESCAPE_RE.sub(lambda m: _UNESCAPED[m[1]], text[1:-1])
     if text == "0x0":
         return None
     try:
@@ -189,54 +205,79 @@ def _fast_fields(body: str, cache: dict[str, tuple[str, Any]]) -> dict[str, Any]
     return fields
 
 
-def _timestamp_str(ns: int) -> str:
-    seconds, nanos = divmod(ns, _NS_PER_SEC)
+def _second_label(seconds: int) -> str:
+    """``[HH:MM:SS.``, the label of a timestamp's whole *seconds*."""
     minutes, sec = divmod(seconds, 60)
     hours, minute = divmod(minutes, 60)
-    return f"{hours % 24:02d}:{minute:02d}:{sec:02d}.{nanos:09d}"
+    return f"[{hours % 24:02d}:{minute:02d}:{sec:02d}."
 
 
 class LttngWriter:
-    """Serializes events to the babeltrace-like text format."""
+    """Serializes events to the babeltrace-like text format.
+
+    An event's two lines share everything but the timestamps, the
+    fields and the return value, so a writer memoizes each line's
+    constant head per ``(name, comm, pid)`` and the timestamp label per
+    second (both capped), and formats ints and escape-free strings
+    inline.
+    """
 
     def __init__(self, hostname: str = "sim") -> None:
         self.hostname = hostname
+        self._heads = CappedMemo(self._line_heads, _HEAD_MEMO_CAP)
+        self._seconds = CappedMemo(_second_label, _TS_MEMO_CAP)
+
+    def _line_heads(self, key: tuple[str, str, int]) -> tuple[str, str]:
+        """The entry and exit line text between timestamp and payload."""
+        name, comm, pid = key
+        context = f'{{ cpu_id = 0 }}, {{ procname = "{comm or "tester"}", pid = {pid} }}'
+        head = f"] (+0.000000001) {self.hostname} syscall_"
+        return f"{head}entry_{name}: {context}, {{ ", f"{head}exit_{name}: {context}, {{ ret = "
+
+    def _lines(self, events: Iterable[SyscallEvent]) -> list[str]:
+        """Each event's entry and exit line, in order."""
+        lines: list[str] = []
+        append = lines.append
+        heads = self._heads
+        seconds = self._seconds
+        for name, args, retval, _errno, pid, comm, timestamp in events:
+            entry_head, exit_head = heads[name, comm, pid]
+            fields = []
+            for key, value in args.items():
+                cls = value.__class__
+                if cls is int:
+                    fields.append(f"{key} = {value}")
+                elif cls is str and '"' not in value and "\\" not in value and "\n" not in value:
+                    fields.append(f'{key} = "{value}"')
+                else:
+                    fields.append(f"{key} = {_format_value(value)}")
+            sec, ns = divmod(timestamp, _NS_PER_SEC)
+            append(f"{seconds[sec]}{ns:09d}{entry_head}{', '.join(fields)} }}")
+            sec, ns = divmod(timestamp + 1, _NS_PER_SEC)
+            append(f"{seconds[sec]}{ns:09d}{exit_head}{retval} }}")
+        return lines
 
     def format_event(self, event: SyscallEvent) -> list[str]:
         """Render one event as its entry/exit line pair."""
-        context = (
-            f'{{ cpu_id = 0 }}, {{ procname = "{event.comm or "tester"}", '
-            f"pid = {event.pid} }}"
-        )
-        fields = ", ".join(
-            f"{key} = {_format_value(value)}" for key, value in event.args.items()
-        )
-        ts_entry = _timestamp_str(event.timestamp)
-        ts_exit = _timestamp_str(event.timestamp + 1)
-        entry = (
-            f"[{ts_entry}] (+0.000000001) {self.hostname} "
-            f"syscall_entry_{event.name}: {context}, {{ {fields} }}"
-        )
-        exit_line = (
-            f"[{ts_exit}] (+0.000000001) {self.hostname} "
-            f"syscall_exit_{event.name}: {context}, {{ ret = {event.retval} }}"
-        )
-        return [entry, exit_line]
+        return self._lines((event,))
 
     def write(self, events: Iterable[SyscallEvent], stream: TextIO) -> int:
         """Write all *events*; returns the number of lines written."""
-        lines = 0
-        for event in events:
-            for line in self.format_event(event):
-                stream.write(line + "\n")
-                lines += 1
-        return lines
+        events = iter(events)
+        written = 0
+        while True:
+            lines = self._lines(islice(events, _WRITE_BATCH))
+            if not lines:
+                return written
+            written += len(lines)
+            lines.append("")
+            stream.write("\n".join(lines))
 
     def dumps(self, events: Iterable[SyscallEvent]) -> str:
-        parts: list[str] = []
-        for event in events:
-            parts.extend(self.format_event(event))
-        return "\n".join(parts) + ("\n" if parts else "")
+        lines = self._lines(events)
+        if lines:
+            lines.append("")
+        return "\n".join(lines)
 
 
 class LttngParseError(ValueError):

@@ -8,22 +8,24 @@ cycle; this module provides it over :class:`~repro.vfs.filesystem.FileSystem`.
 The model is allocation-level: data written but not persisted (no
 fsync/sync since the write) is discarded by :meth:`CrashSimulator.crash`.
 File *content* is snapshotted at each persistence point so a remount
-restores exactly the durable image.
+restores exactly the durable image.  A snapshot is an
+:meth:`~repro.vfs.inode.InodeTable.clone`, which copies each inode's
+mutable state and nothing else.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from repro.vfs.filesystem import FileSystem
+from repro.vfs.inode import DirInode, InodeTable
 
 
 @dataclass
 class DurableImage:
     """A snapshot of the durable (persisted) file-system state."""
 
-    inodes_snapshot: object
+    inodes_snapshot: InodeTable
     root_ino: int
 
 
@@ -50,7 +52,7 @@ class CrashSimulator:
         """Record the current state as durable (a sync barrier)."""
         self.fs.sync()
         self._durable = DurableImage(
-            inodes_snapshot=copy.deepcopy(self.fs.inodes),
+            inodes_snapshot=self.fs.inodes.clone(),
             root_ino=self.fs.root_ino,
         )
         self.checkpoint_count += 1
@@ -59,7 +61,7 @@ class CrashSimulator:
         """Simulate power loss: roll back to the last durable image."""
         assert self._durable is not None
         self.crash_count += 1
-        self.fs.inodes = copy.deepcopy(self._durable.inodes_snapshot)  # type: ignore[assignment]
+        self.fs.inodes = self._durable.inodes_snapshot.clone()
         self.fs.root_ino = self._durable.root_ino
         # Rebind the resolver to the restored table.
         from repro.vfs.path import PathResolver
@@ -71,17 +73,15 @@ class CrashSimulator:
         """List every path reachable in the durable image (for checkers)."""
         assert self._durable is not None
         table = self._durable.inodes_snapshot
-        from repro.vfs.inode import DirInode
-
         paths: list[str] = []
 
         def walk(ino: int, prefix: str) -> None:
-            inode = table.get(ino)  # type: ignore[attr-defined]
+            inode = table.get(ino)
             if isinstance(inode, DirInode):
                 for name, child_ino in inode.entries.items():
                     child_path = f"{prefix}/{name}" if prefix != "/" else f"/{name}"
                     paths.append(child_path)
-                    child = table.get(child_ino)  # type: ignore[attr-defined]
+                    child = table.get(child_ino)
                     if isinstance(child, DirInode):
                         walk(child_ino, child_path)
 

@@ -95,11 +95,14 @@ class FaultInjector:
     def check(self, syscall: str) -> None:
         """Raise the armed fault for *syscall*, if any rule fires.
 
-        Exhausted rules are pruned lazily.
+        Exhausted rules are pruned lazily.  With no rule armed (every
+        syscall of an ordinary run) it returns at once.
 
         Raises:
             FsError: with the armed errno.
         """
+        if not self._rules:
+            return
         fired: FaultRule | None = None
         for rule in self._rules:
             if rule.matches(syscall) and rule.should_fire():

@@ -9,8 +9,7 @@ layer charges the block device before calling them.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.vfs import constants
@@ -79,6 +78,19 @@ class Inode:
 
     def set_permissions(self, mode: int) -> None:
         self.mode = self.file_type | (mode & 0o7777)
+
+    def clone(self) -> "Inode":
+        """A copy that shares no mutable state with this inode.
+
+        Kinds with more mutable state copy it too; everything else an
+        inode holds is immutable.
+        """
+        twin = object.__new__(self.__class__)
+        twin.__dict__.update(self.__dict__)
+        times = self.times
+        twin.times = InodeTimes(times.atime, times.mtime, times.ctime)
+        twin.xattrs = self.xattrs.copy()
+        return twin
 
     # -- size ---------------------------------------------------------------
 
@@ -155,6 +167,11 @@ class FileInode(Inode):
     def size(self) -> int:
         return self._size
 
+    def clone(self) -> "FileInode":
+        twin = super().clone()
+        twin.data = bytearray(self.data)
+        return twin
+
     @property
     def materialized_bytes(self) -> int:
         """Bytes actually backed by storage (what the device charges)."""
@@ -220,6 +237,11 @@ class DirInode(Inode):
         self.parent_ino = parent_ino if parent_ino is not None else ino
         self.nlink = 2  # "." and the parent's entry
 
+    def clone(self) -> "DirInode":
+        twin = super().clone()
+        twin.entries = self.entries.copy()
+        return twin
+
     @property
     def size(self) -> int:
         # Directories report a nominal block-multiple size like Ext4.
@@ -269,8 +291,15 @@ class InodeTable:
 
     def __init__(self, max_inodes: int = 1 << 20) -> None:
         self._inodes: dict[int, Inode] = {}
-        self._next_ino = itertools.count(start=2)  # 1 is reserved; root gets 2
+        self._next_ino = 2  # 1 is reserved; root gets 2
         self.max_inodes = max_inodes
+
+    def clone(self) -> "InodeTable":
+        """A copy of every inode and of the allocator (a crash snapshot)."""
+        twin = InodeTable(self.max_inodes)
+        twin._inodes = {ino: inode.clone() for ino, inode in self._inodes.items()}
+        twin._next_ino = self._next_ino
+        return twin
 
     def __len__(self) -> int:
         return len(self._inodes)
@@ -291,7 +320,9 @@ class InodeTable:
     def _allocate_ino(self) -> int:
         if len(self._inodes) >= self.max_inodes:
             raise FsError(ENOSPC, "inode table full")
-        return next(self._next_ino)
+        ino = self._next_ino
+        self._next_ino = ino + 1
+        return ino
 
     def new_file(self, mode: int = 0o644, uid: int = 0, gid: int = 0) -> FileInode:
         inode = FileInode(self._allocate_ino(), mode, uid, gid)

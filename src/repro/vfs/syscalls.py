@@ -12,6 +12,8 @@ non-negative on success and ``-errno`` on failure.  Results are wrapped
 in :class:`SyscallResult` so read-like calls can also hand back data.
 Each invocation emits one :class:`~repro.trace.events.SyscallEvent` to
 all subscribed listeners — this is the LTTng tracepoint equivalent.
+The event is the counting loop's row, built over the args dict the
+syscall method made for it, so tracing copies nothing.
 
 User-buffer faults (EFAULT) are modelled by the ``buf_faulty`` keyword:
 a real tester cannot pass a Python "bad pointer", so workloads that
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from repro.trace.events import SyscallEvent, make_event
+from repro.trace.events import SyscallEvent
 from repro.vfs import constants
 from repro.vfs.errors import (
     E2BIG,
@@ -130,16 +132,12 @@ class SyscallInterface:
         self._listeners.remove(listener)
 
     def _emit(self, name: str, args: dict[str, Any], result: SyscallResult) -> None:
+        """Hand one event to every listener; it takes ownership of *args*."""
         if not self._listeners:
             return
-        event = make_event(
-            name,
-            args,
-            result.retval,
-            result.errno,
-            pid=self.process.pid,
-            comm=self.process.comm,
-            timestamp=self.fs.tick(),
+        process = self.process
+        event = SyscallEvent(
+            name, args, result.retval, result.errno, process.pid, process.comm, self.fs.tick()
         )
         for listener in self._listeners:
             listener(event)

@@ -234,3 +234,64 @@ def test_lines_end_at_newline_only(tmp_path, char, dirty):
     want = reports["consume_lttng_file"].to_json()
     for name, report in reports.items():
         assert report.to_json() == want, name
+
+
+# -- string arguments survive every text path ----------------------------------------
+
+#: Characters that once split a field block or a line, or lost the
+#: arguments of the event holding them.
+_AWKWARD = st.text(alphabet='an{}"\\\n\r\t\u2028é中 ,=', max_size=6)
+_AWKWARD_PATHS = st.one_of(
+    st.builds(lambda tail: f"/mnt/test/{tail}", _AWKWARD),
+    st.builds(lambda tail: f"/tmp/{tail}", _AWKWARD),
+)
+
+_AWKWARD_EVENTS = st.lists(
+    st.one_of(
+        st.builds(_openat, _AWKWARD_PATHS, _FDS, _PIDS),
+        st.builds(
+            lambda path, fd, pid: make_event(
+                "open", {"pathname": path, "flags": 0, "mode": 0}, fd, pid=pid
+            ),
+            _AWKWARD_PATHS, _FDS, _PIDS,
+        ),
+        st.builds(
+            lambda fd, count, pid: make_event(
+                "write", {"fd": fd, "count": count}, count, pid=pid
+            ),
+            _FDS, st.integers(0, 9000), _PIDS,
+        ),
+        st.builds(lambda fd, pid: make_event("close", {"fd": fd}, 0, pid=pid), _FDS, _PIDS),
+        st.builds(
+            lambda path, name, pid: make_event(
+                "setxattr",
+                {"pathname": path, "name": f"user.{name}", "size": 4, "flags": 0},
+                0,
+                pid=pid,
+            ),
+            _AWKWARD_PATHS, _AWKWARD, _PIDS,
+        ),
+        st.builds(_failed_mkdir, _AWKWARD_PATHS, _PIDS),
+    ),
+    max_size=30,
+)
+
+
+@given(events=_AWKWARD_EVENTS)
+@settings(max_examples=60, deadline=None)
+def test_string_arguments_survive_every_text_path(events):
+    want = IOCov(mount_point=MOUNT, suite_name=SUITE).consume(events).report().to_json()
+    text = LttngWriter().dumps(events)
+    # The codec is exact: every argument parses back as it was written.
+    parsed = LttngParser().parse_text(text)
+    assert [(e.name, e.args, e.retval, e.pid) for e in parsed] == [
+        (e.name, e.args, e.retval, e.pid) for e in events
+    ]
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "trace.lttng.txt")
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        for name, (got, stats) in _file_paths("lttng", path, directory).items():
+            assert got == want, name
+            assert stats["malformed_lines"] == 0, name
+            assert stats["skipped_lines"] == stats["unpaired_entries"] == 0, name

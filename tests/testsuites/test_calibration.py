@@ -1,14 +1,22 @@
 """Calibration driver: residual targeting against live traces."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import IOCov
-from repro.core.argspec import OPEN_FLAGS_ARG
-from repro.core.partition import BitmapPartitioner
+from repro.core.argspec import OPEN_FLAGS_ARG, base_name
+from repro.core.partition import BitmapPartitioner, NumericPartitioner
+from repro.core.variants import VariantHandler
 from repro.testsuites.base import SuiteRunner, TestSuite, Workload
 from repro.testsuites.calibration import CalibrationDriver, _combo_flags
 from repro.testsuites.profiles import SuiteProfile
+from repro.trace.events import make_event
+from repro.trace.recorder import TraceRecorder
 from repro.vfs import constants as C
+from repro.vfs.errors import errno_name
 
 SMALL_PROFILE = SuiteProfile(
     name="small",
@@ -118,3 +126,66 @@ def test_combo_flags_builder():
     assert flags & C.O_ACCMODE == C.O_RDWR
     assert flags & C.O_CREAT
     assert flags & C.O_SYNC == C.O_SYNC
+
+
+# -- the shape tally counts what normalizing every event counted -----------------
+
+
+def _reference_observed(events):
+    """The per-event tally: normalize each event, then decode or bucket it."""
+    decoder = BitmapPartitioner(OPEN_FLAGS_ARG)
+    bucketer = NumericPartitioner(include_negative=False)
+    variants = VariantHandler()
+    combos, write_buckets, open_errors, base_counts = Counter(), Counter(), Counter(), Counter()
+    for event in events:
+        base = base_name(event.name)
+        if base is None:
+            base_counts[event.name] += 1
+            continue
+        base_counts[base] += 1
+        _, args = variants.normalize(event)
+        if base == "open":
+            flags = args.get("flags")
+            if isinstance(flags, int):
+                combos[frozenset(decoder.decode(flags))] += 1
+            if event.errno:
+                open_errors[errno_name(event.errno)] += 1
+        elif base == "write":
+            count = args.get("count")
+            if isinstance(count, int) and count >= 0:
+                for key in bucketer.classify(count):
+                    write_buckets[key] += 1
+    return combos, write_buckets, open_errors, base_counts
+
+
+_NUMBERS = st.one_of(
+    st.integers(-5, 2**40),
+    st.sampled_from([0, 1, C.O_CREAT | C.O_WRONLY | C.O_TRUNC, -1, True, 1.0, "577", None]),
+)
+
+_OBSERVED_EVENTS = st.lists(
+    st.builds(
+        make_event,
+        name=st.sampled_from([
+            "open", "openat", "openat2", "creat", "write", "pwrite64", "writev",
+            "read", "lseek", "close", "unlink", "rename", "fsync",
+        ]),
+        # creat with and without flags; counts and flags of every kind.
+        args=st.fixed_dictionaries(
+            {"pathname": st.just("/mnt/test/f")},
+            optional={"flags": _NUMBERS, "count": _NUMBERS, "dfd": st.just(-100),
+                      "pos": st.integers(0, 9), "vlen": st.integers(0, 3)},
+        ),
+        retval=st.integers(-20, 20),
+        errno=st.sampled_from([0, 0, 2, 13, 17, 24]),
+    ),
+    max_size=40,
+)
+
+
+@given(events=_OBSERVED_EVENTS)
+@settings(max_examples=200, deadline=None)
+def test_observed_tally_matches_per_event_normalize(events):
+    recorder = TraceRecorder()
+    recorder.extend(events)
+    assert CalibrationDriver(SMALL_PROFILE)._observed(recorder) == _reference_observed(events)

@@ -1,6 +1,10 @@
 """LTTng text codec: formatting, parsing, round trips, malformed input."""
 
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trace.events import make_event
 from repro.trace.lttng import LttngParseError, LttngParser, LttngWriter
@@ -178,3 +182,118 @@ def test_field_memo_stays_bounded():
         entry, _exit = writer.format_event(event)
         assert parser.parse_line(entry)[5] == {"fd": 3, "count": i}
         assert len(parser._field_memo) <= _FIELD_MEMO_CAP
+
+
+# -- the writer's memoized heads format what the per-event formatter did ----------
+
+
+def _reference_value(value):
+    if value is None:
+        return "0x0"
+    if isinstance(value, str):
+        escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+        return f'"{escaped}"'
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return f'"{",".join(str(item) for item in value)}"'
+    return f'"{value}"'
+
+
+def _reference_timestamp(ns):
+    seconds, nanos = divmod(ns, 1_000_000_000)
+    minutes, sec = divmod(seconds, 60)
+    hours, minute = divmod(minutes, 60)
+    return f"{hours % 24:02d}:{minute:02d}:{sec:02d}.{nanos:09d}"
+
+
+def _reference_lines(event, hostname):
+    """One event's two lines, formatted field by field with no memo.
+
+    This is the formatter the writer had before it memoized line heads,
+    plus the newline escape of quoted values.
+    """
+    context = (
+        f'{{ cpu_id = 0 }}, {{ procname = "{event.comm or "tester"}", '
+        f"pid = {event.pid} }}"
+    )
+    fields = ", ".join(f"{key} = {_reference_value(value)}" for key, value in event.args.items())
+    entry = (
+        f"[{_reference_timestamp(event.timestamp)}] (+0.000000001) {hostname} "
+        f"syscall_entry_{event.name}: {context}, {{ {fields} }}"
+    )
+    exit_line = (
+        f"[{_reference_timestamp(event.timestamp + 1)}] (+0.000000001) {hostname} "
+        f"syscall_exit_{event.name}: {context}, {{ ret = {event.retval} }}"
+    )
+    return [entry, exit_line]
+
+
+_NS = 1_000_000_000
+
+_VALUES = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([-1, 0, 2**63 - 1, 2**63, 2**64 + 1, -(2**63) - 1]),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.lists(st.integers(-5, 2**64), max_size=3),
+    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    st.text(alphabet='ab/ "\\{},=\n\té\u2028', max_size=8),
+)
+
+#: Timestamps next to the second, minute, hour and 24 h boundaries.
+_TIMESTAMPS = st.one_of(
+    st.integers(0, 10**15),
+    st.builds(
+        lambda base, delta: base + delta,
+        st.sampled_from([_NS, 60 * _NS, 3600 * _NS, 86400 * _NS, 3 * 86400 * _NS]),
+        st.integers(-2, 1),
+    ),
+)
+
+_WRITER_EVENTS = st.lists(
+    st.builds(
+        make_event,
+        name=st.sampled_from(["open", "write", "close"]),
+        args=st.dictionaries(st.sampled_from(["pathname", "flags", "fd", "count"]), _VALUES,
+                             max_size=4),
+        retval=st.integers(-(2**64), 2**64),
+        errno=st.just(0),
+        # Few names, comms and pids: (name, comm, pid) triples repeat.
+        pid=st.sampled_from([0, 1, 1000, 2**40]),
+        comm=st.sampled_from(["", "tester", "fsx", "xfs_io"]),
+        timestamp=_TIMESTAMPS,
+    ),
+    max_size=30,
+)
+
+
+@given(events=_WRITER_EVENTS, hostname=st.sampled_from(["sim", "host1"]))
+@settings(max_examples=150, deadline=None)
+def test_writer_matches_per_event_reference(events, hostname):
+    want = [line for event in events for line in _reference_lines(event, hostname)]
+    text = "".join(line + "\n" for line in want)
+    writer = LttngWriter(hostname)
+    assert [line for event in events for line in writer.format_event(event)] == want
+    assert writer.dumps(events) == text
+    stream = io.StringIO()
+    assert writer.write(events, stream) == len(want)
+    assert stream.getvalue() == text
+
+
+def test_write_spans_several_batches():
+    from repro.trace.lttng import _WRITE_BATCH
+
+    events = [
+        make_event("write", {"fd": 3, "count": i}, i, pid=i % 3, timestamp=i * 7919)
+        for i in range(2 * _WRITE_BATCH + 5)
+    ]
+    stream = io.StringIO()
+    assert LttngWriter().write(events, stream) == 2 * len(events)
+    assert stream.getvalue() == "".join(
+        line + "\n" for event in events for line in _reference_lines(event, "sim")
+    )
+    assert LttngWriter().write([], stream) == 0

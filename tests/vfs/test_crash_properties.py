@@ -8,12 +8,16 @@ unusable or its accounting negative.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.vfs import constants as C
 from repro.vfs.crash import CrashSimulator
 from repro.vfs.filesystem import FileSystem
+from repro.vfs.inode import DirInode, FileInode, InodeTable, SymlinkInode
 from repro.vfs.syscalls import SyscallInterface
 
 _OPS = st.lists(
@@ -97,3 +101,83 @@ def test_crash_never_corrupts_accounting(ops):
     assert result.ok
     assert sc.write(result.retval, count=512).retval == 512
     sc.close(result.retval)
+
+
+# -- a clone is the deep copy it replaces ------------------------------------------
+
+_CLONE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "create", "write", "truncate", "unlink", "mkdir", "rename",
+            "payload", "xattr", "chmod", "symlink", "link", "rmdir",
+        ]),
+        st.integers(0, 4),
+        st.integers(0, 8192),
+    ),
+    max_size=20,
+)
+
+
+def _apply_more(sc: SyscallInterface, op: str, index: int, size: int) -> None:
+    path = f"/f{index}"
+    if op == "payload":
+        result = sc.open(path, C.O_CREAT | C.O_WRONLY, 0o644)
+        if result.ok:
+            sc.pwrite64(result.retval, bytes([index + 1]) * (size % 97 + 1), offset=size % 50)
+            sc.close(result.retval)
+    elif op == "xattr":
+        sc.setxattr(path, f"user.k{size % 3}", bytes([size % 256]) * (size % 9))
+    elif op == "chmod":
+        sc.chmod(path, size & 0o7777)
+    elif op == "symlink":
+        sc.symlink(f"/d{size % 5}", f"/s{index}")
+    elif op == "link":
+        sc.link(path, f"/d{size % 5}/h{index}")
+    elif op == "rmdir":
+        sc.rmdir(f"/d{index}")
+    else:
+        _apply(sc, op, index, size)
+
+
+def _image(table: InodeTable, root_ino: int) -> dict:
+    """Every reachable path -> the state of the inode it names."""
+    image = {}
+
+    def walk(ino: int, path: str) -> None:
+        inode = table.get(ino)
+        state = (
+            inode.file_type, inode.mode, inode.uid, inode.gid, inode.nlink, inode.size,
+            dataclasses.astuple(inode.times), dict(inode.xattrs), inode.xattr_ibody_space,
+        )
+        if isinstance(inode, FileInode):
+            state += (bytes(inode.data), inode.materialized_bytes)
+        elif isinstance(inode, SymlinkInode):
+            state += (inode.target,)
+        elif isinstance(inode, DirInode):
+            state += (dict(inode.entries), inode.parent_ino)
+        image[path] = state
+        if isinstance(inode, DirInode):
+            for name, child in inode.entries.items():
+                walk(child, f"{path.rstrip('/')}/{name}")
+
+    walk(root_ino, "/")
+    return image
+
+
+@given(before=_CLONE_OPS, after=_CLONE_OPS)
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+def test_clone_equals_deepcopy(before, after):
+    fs = FileSystem(total_blocks=256)
+    sc = SyscallInterface(fs)
+    for op, index, size in before:
+        _apply_more(sc, op, index, size)
+    clone = fs.inodes.clone()
+    reference = copy.deepcopy(fs.inodes)
+    want = _image(reference, fs.root_ino)
+    assert _image(clone, fs.root_ino) == want
+    # Ops on the live table leave the clone alone.
+    for op, index, size in after:
+        _apply_more(sc, op, index, size)
+    assert _image(clone, fs.root_ino) == want
+    assert len(clone) == len(reference)
+    assert clone.new_file().ino == reference.new_file().ino
