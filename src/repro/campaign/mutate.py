@@ -23,7 +23,9 @@ are pure — same seed + same weight vector ⇒ byte-identical workload
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import accumulate
+from math import isfinite
 
 from repro.campaign.weights import WeightModel
 from repro.testsuites.fuzzer import _OP_KINDS, CoverageGuidedFuzzer, FuzzProgram
@@ -73,19 +75,35 @@ _INVALID_WHENCE = 99
 #: tester identity).
 _DROPPED_UID = 1000
 
-#: Errno -> environment setup.  Each callable hostile-izes a fresh VFS
-#: after the mount point exists; only errnos listed here are reachable
-#: by state setup alone (the rest need specific arguments, which the
-#: input weights already steer toward).
+#: Errno -> environment setup.  Each callable hostile-izes a program's
+#: volume after the mount point exists; only errnos listed here are
+#: reachable by state setup alone (the rest need specific arguments,
+#: which the input weights already steer toward).
 _ENV_ERRNOS = ("EROFS", "EBUSY", "ENOSPC", "EDQUOT", "EMFILE", "EACCES")
+
+
+def _choice_table(keys: list[str], weights) -> tuple[list[str], list[float], float]:
+    """Keys, cumulative weights and their total, checked once the way
+    ``random.choices`` checks them on every call.
+
+    Raises:
+        ValueError: the total is not positive, or not finite.
+    """
+    cum_weights = list(accumulate(weights))
+    total = cum_weights[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    if not isfinite(total):
+        raise ValueError("Total of weights must be finite")
+    return keys, cum_weights, total
 
 
 class WeightedFuzzer(CoverageGuidedFuzzer):
     """A :class:`CoverageGuidedFuzzer` biased by a :class:`WeightModel`.
 
-    The weight model is fixed for one round, so each choice table (keys
-    plus cumulative weights) is built once; ``cum_weights`` draws equal
-    the per-call ``weights`` draws they replace.
+    The weight model is fixed for one round, so each choice table (keys,
+    cumulative weights and their total) is built once, and a draw is the
+    one ``bisect`` that ``random.choices`` would evaluate on it.
 
     Args:
         weights: the round's weight model (uniform = unbiased).
@@ -108,7 +126,13 @@ class WeightedFuzzer(CoverageGuidedFuzzer):
         #: every executed program, in execution order (the workload).
         self.programs: list[FuzzProgram] = []
         self._tables = self._build_tables()
-        self._env_domain, self._env_cum_weights = self._build_env_table()
+        self._env_domain, env_weights = self._build_env_table()
+        #: drawn from only when some environment is targeted
+        self._env_table = (
+            _choice_table(self._env_domain, env_weights)
+            if len(self._env_domain) > 1
+            else None
+        )
 
     # -- weighted choice hooks -------------------------------------------------
 
@@ -116,7 +140,7 @@ class WeightedFuzzer(CoverageGuidedFuzzer):
         """Choice tables: op kinds, then one per weighted argument."""
         kinds = [kind for kind in self.coverage.registry if kind in _OP_KINDS]
         tables: dict = {
-            "kind": (kinds, list(accumulate(map(self.weights.syscall_weight, kinds))))
+            "kind": _choice_table(kinds, map(self.weights.syscall_weight, kinds))
         }
         for pair in (*_SIZE_ARGS.values(), *_MODE_ARGS.values(), _WHENCE_ARG):
             tables[pair] = self._partition_table(pair, self.coverage.arg(*pair).domain())
@@ -129,13 +153,15 @@ class WeightedFuzzer(CoverageGuidedFuzzer):
 
     def _partition_table(
         self, pair: tuple[str, str], keys: list[str]
-    ) -> tuple[list[str], list[float]]:
+    ) -> tuple[list[str], list[float], float]:
         weights = self.weights.input_weights.get(pair, {})
-        return keys, list(accumulate(max(1.0, weights.get(key, 1.0)) for key in keys))
+        return _choice_table(keys, (max(1.0, weights.get(key, 1.0)) for key in keys))
 
-    def _draw(self, table: tuple[list[str], list[float]]) -> str:
-        keys, cum_weights = table
-        return self.rng.choices(keys, cum_weights=cum_weights)[0]
+    def _draw(self, table: tuple[list[str], list[float], float]) -> str:
+        """``rng.choices(keys, cum_weights=cum_weights)[0]``, without
+        re-checking the table."""
+        keys, cum_weights, total = table
+        return keys[bisect(cum_weights, self.rng.random() * total, 0, len(keys) - 1)]
 
     def _choose_kind(self) -> str:
         return self._draw(self._tables["kind"])
@@ -195,7 +221,7 @@ class WeightedFuzzer(CoverageGuidedFuzzer):
     # -- errno environments ----------------------------------------------------
 
     def _build_env_table(self) -> tuple[list[str], list[float]]:
-        """Environment domain + cumulative weights from the errno targets.
+        """Environment domain + weights from the errno targets.
 
         An environment's weight is the *strongest* pull any syscall has
         toward its errno; the pristine environment keeps a fixed large
@@ -216,12 +242,12 @@ class WeightedFuzzer(CoverageGuidedFuzzer):
             if strongest > 1.0:
                 domain.append(env)
                 weights.append(strongest)
-        return domain, list(accumulate(weights))
+        return domain, weights
 
     def _choose_env(self) -> str:
-        if len(self._env_domain) == 1:
+        if self._env_table is None:
             return ""
-        return self._draw((self._env_domain, self._env_cum_weights))
+        return self._draw(self._env_table)
 
     def _setup_environment(
         self, program: FuzzProgram, fs: FileSystem, sc: SyscallInterface

@@ -17,8 +17,9 @@ Components:
   loop; also runnable with feedback disabled (pure random) so the
   benefit of coverage guidance is measurable.
 
-The fuzzer runs real programs against a fresh VFS per execution, so
-every partition it claims is genuinely exercised.
+The fuzzer runs real programs, each on a clone of a template volume
+that already holds the mount point, so every partition it claims is
+genuinely exercised and no program sees another's state.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.input_coverage import InputCoverage
 from repro.core.variants import VariantHandler
-from repro.trace.recorder import TraceRecorder
+from repro.trace.events import event_from_row
 from repro.vfs import constants
 from repro.vfs.filesystem import FileSystem
 from repro.vfs.syscalls import SyscallInterface
@@ -63,12 +64,13 @@ class FuzzOp:
     mode: int = 0o644
 
     def render(self) -> str:
-        """Syzkaller-like program line (parsable by SyzkallerParser)."""
+        """Syzkaller-like line of the call the fuzzer executes for this op
+        (parsable by SyzkallerParser)."""
         path = f"./f{self.path_index}"
         if self.kind == "open":
             return (
-                f"r0 = openat(0xffffffffffffff9c, &(0x7f0000000040)="
-                f"'{path}\\x00', {hex(self.flags)}, {oct(self.mode).replace('0o', '0x1')})"
+                f"r0 = openat(0xffffffffffffff9c, &(0x7f0000000040)='{path}\\x00', "
+                f"{hex(self.flags | constants.O_CREAT)}, {hex(self.mode)})"
             )
         if self.kind in ("read", "write"):
             return f"{self.kind}(r0, &(0x7f0000000080), {hex(self.size)})"
@@ -77,7 +79,7 @@ class FuzzOp:
         if self.kind == "truncate":
             return f"truncate(&(0x7f0000000040)='{path}\\x00', {hex(self.size)})"
         if self.kind == "mkdir":
-            return f"mkdir(&(0x7f0000000040)='{path}d\\x00', {hex(self.mode)})"
+            return f"mkdir(&(0x7f0000000040)='{path}_d\\x00', {hex(self.mode)})"
         if self.kind == "chmod":
             return f"chmod(&(0x7f0000000040)='{path}\\x00', {hex(self.mode)})"
         if self.kind == "setxattr":
@@ -126,7 +128,8 @@ class CoverageGuidedFuzzer:
         seed: RNG seed (runs are deterministic).
         guided: keep programs only when they open new input partitions;
             False gives the random-fuzzing baseline.
-        mount_point: where programs run (a fresh VFS per execution).
+        mount_point: where programs run (each on a clone of a template
+            volume that holds it).
     """
 
     def __init__(
@@ -138,9 +141,19 @@ class CoverageGuidedFuzzer:
         self.corpus: list[FuzzProgram] = []
         self.coverage = InputCoverage()
         self._variants = VariantHandler()
+        #: base name -> its tracked args' ``(name, ArgCoverage.record)``
+        #: pairs, so feedback credits a base-name event as it is
+        self._feedback_plan = {
+            name: tuple(
+                (arg.name, self.coverage.arg(name, arg.name).record)
+                for arg in spec.tracked_args
+            )
+            for name, spec in self.coverage.registry.items()
+        }
         self.executions = 0
         #: trace of every executed program (for IOCov evaluation)
         self.all_events = []
+        self._template, self._fixture = self._build_template()
 
     # -- program synthesis -----------------------------------------------------
     #
@@ -225,18 +238,30 @@ class CoverageGuidedFuzzer:
     #: 2^40 followed by a large read would allocate gigabytes.
     scratch_max_file_size = 1 << 27
 
-    def _execute(self, program: FuzzProgram) -> list:
-        """Run one program on a fresh VFS; return its trace events."""
+    def _build_template(self) -> tuple[FileSystem, list]:
+        """The volume programs run on clones of, after the traced
+        ``mkdir`` of each mount-point component, and those events."""
         fs = FileSystem(  # 8 MiB device keeps big writes cheap
             total_blocks=2048, max_file_size=self.scratch_max_file_size
         )
         sc = SyscallInterface(fs)
-        recorder = TraceRecorder()
-        recorder.attach(sc)
+        events: list = []
+        sc.subscribe(events.append)
         current = ""
         for part in (p for p in self.mount_point.split("/") if p):
             current = f"{current}/{part}"
             sc.mkdir(current, 0o755)
+        return fs, events
+
+    def _execute(self, program: FuzzProgram) -> list:
+        """Run one program on a clone of the template volume; return its
+        trace events, starting with the mount-point fixture's."""
+        fs = self._template.clone()
+        sc = SyscallInterface(fs)
+        # A plain list's append as the listener keeps the interface out
+        # of reference cycles, so the volume is freed when this returns.
+        events = [event_from_row(event) for event in self._fixture]
+        sc.subscribe(events.append)
         self._setup_environment(program, fs, sc)
         fd = -1
         for op in program.ops:
@@ -268,7 +293,7 @@ class CoverageGuidedFuzzer:
                     sc.close(fd)
                     fd = -1
         self.executions += 1
-        return recorder.drain()
+        return events
 
     def _setup_environment(
         self, program: FuzzProgram, fs: FileSystem, sc: SyscallInterface
@@ -281,14 +306,26 @@ class CoverageGuidedFuzzer:
         """
 
     def _new_partitions(self, events) -> int:
-        """Count partitions these events open beyond current coverage."""
+        """Count partitions these events open beyond current coverage.
+
+        A base-name event is credited through its feedback plan; a
+        variant is normalized to its base first.
+        """
+        plans = self._feedback_plan
         normalize = self._variants.normalize
         record = self.coverage.record
         opened = 0
         for event in events:
-            normalized = normalize(event)
-            if normalized is not None:
-                opened += record(*normalized)
+            plan = plans.get(event.name)
+            if plan is None:
+                normalized = normalize(event)
+                if normalized is not None:
+                    opened += record(*normalized)
+                continue
+            args = event.args
+            for name, credit in plan:
+                if name in args:
+                    opened += credit(args[name])
         return opened
 
     # -- the loop ------------------------------------------------------------

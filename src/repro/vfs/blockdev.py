@@ -67,6 +67,14 @@ class BlockDevice:
         #: mechanism; test harnesses use it to force ENOSPC cheaply)
         self.reserved_blocks = 0
 
+    def clone(self) -> "BlockDevice":
+        """A copy whose allocation maps are its own."""
+        twin = object.__new__(self.__class__)
+        twin.__dict__.update(self.__dict__)
+        twin._allocated = self._allocated.copy()
+        twin._persisted = self._persisted.copy()
+        return twin
+
     # -- queries ----------------------------------------------------------
 
     @property

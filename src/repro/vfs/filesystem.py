@@ -9,7 +9,7 @@ EBUSY output partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.vfs import constants
 from repro.vfs.blockdev import BlockDevice
@@ -76,6 +76,23 @@ class FileSystem:
         self._busy_text: set[int] = set()
         #: logical clock for inode timestamps.
         self._clock = 0
+
+    def clone(self) -> "FileSystem":
+        """A copy that shares no mutable state with this volume.
+
+        Like :meth:`InodeTable.clone`, it copies exactly the mutable
+        state: the inode table, the device's allocation maps, the
+        quotas and the busy-text set.  Flags, limits and the clock are
+        immutable values; the resolver is bound to the copied table.
+        """
+        twin = object.__new__(self.__class__)
+        twin.__dict__.update(self.__dict__)
+        twin.device = self.device.clone()
+        twin.inodes = self.inodes.clone()
+        twin.resolver = PathResolver(twin.inodes, self.root_ino)
+        twin._quotas = {uid: replace(quota) for uid, quota in self._quotas.items()}
+        twin._busy_text = set(self._busy_text)
+        return twin
 
     # -- clock -------------------------------------------------------------
 

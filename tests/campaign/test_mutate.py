@@ -9,16 +9,23 @@ the VFS in the promised hostile state.
 
 from __future__ import annotations
 
+import math
+import random
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign.mutate import (
     _INVALID_WHENCE,
     _UNKNOWN_MODE_BIT,
     _UNKNOWN_OPEN_BIT,
     WeightedFuzzer,
+    _choice_table,
 )
 from repro.campaign.weights import WeightModel
-from repro.testsuites.fuzzer import FuzzProgram
+from repro.testsuites.fuzzer import _OP_KINDS, FuzzProgram
 from repro.vfs import constants
 from repro.vfs.filesystem import FileSystem
 from repro.vfs.syscalls import SyscallInterface
@@ -207,3 +214,44 @@ def test_hostile_environments_produce_new_errno_coverage():
     import errno as errno_mod
 
     assert errno_mod.EROFS in failing or errno_mod.EACCES in failing
+
+
+# -- draws ---------------------------------------------------------------------
+
+_WEIGHTS = st.lists(
+    st.one_of(st.integers(0, 1000), st.floats(0.0, 1e6)), min_size=1, max_size=12
+).filter(lambda weights: list(accumulate(weights))[-1] > 0)
+
+
+@given(weights=_WEIGHTS, seed=st.integers(0, (1 << 32) - 1))
+@settings(max_examples=100, deadline=None)
+def test_draw_equals_random_choices(weights, seed):
+    keys = [f"k{index}" for index in range(len(weights))]
+    fuzzer = WeightedFuzzer(seed=seed)
+    reference = random.Random()
+    reference.setstate(fuzzer.rng.getstate())
+    table = _choice_table(keys, weights)
+    cum_weights = list(accumulate(weights))
+    for _ in range(40):
+        want = reference.choices(keys, cum_weights=cum_weights)[0]
+        assert fuzzer._draw(table) == want
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[0.0], [0, 0, 0], [1.0, -1.0], [math.inf], [1.0, math.inf], [math.nan]],
+)
+def test_choice_table_raises_what_choices_raises(weights):
+    keys = [f"k{index}" for index in range(len(weights))]
+    with pytest.raises(ValueError) as ours:
+        _choice_table(keys, weights)
+    with pytest.raises(ValueError) as theirs:
+        random.Random(0).choices(keys, cum_weights=list(accumulate(weights)))
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("weight", [0.0, math.inf])
+def test_zero_or_infinite_syscall_mix_raises_when_built(weight):
+    model = WeightModel(syscall_weights={kind: weight for kind in _OP_KINDS})
+    with pytest.raises(ValueError):
+        WeightedFuzzer(weights=model)

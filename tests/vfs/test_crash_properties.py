@@ -181,3 +181,72 @@ def test_clone_equals_deepcopy(before, after):
     assert _image(clone, fs.root_ino) == want
     assert len(clone) == len(reference)
     assert clone.new_file().ino == reference.new_file().ino
+
+
+# -- a volume clone is the deep copy of a whole file system ------------------------
+
+def _volume(fs: FileSystem) -> tuple:
+    """The image plus every other piece of volume state."""
+    device = fs.device
+    return (
+        _image(fs.inodes, fs.root_ino),
+        len(fs.inodes),
+        dict(device._allocated),
+        dict(device._persisted),
+        device.reserved_blocks,
+        {uid: (q.block_limit, q.blocks_used) for uid, q in fs._quotas.items()},
+        fs.read_only,
+        fs.frozen,
+        set(fs._busy_text),
+        fs._clock,
+    )
+
+
+def _churn(fs: FileSystem, ops) -> None:
+    """Ops on *fs*, then a change to each other piece of its state."""
+    fs.read_only = fs.frozen = False
+    sc = SyscallInterface(fs)
+    for op, index, size in ops:
+        _apply_more(sc, op, index, size)
+    for inode in list(fs.inodes.all_inodes()):
+        fs.device.sync_owner(inode.ino)
+        fs.mark_text_busy(inode.ino)
+    fs.set_quota(1000, 3)
+    fs.device.reserve_all_free()
+    fs.read_only = fs.frozen = True
+    fs.tick()
+
+
+@given(
+    before=_CLONE_OPS,
+    after=_CLONE_OPS,
+    quota=st.integers(0, 64),
+    reserved=st.integers(0, 16),
+    synced=st.booleans(),
+    read_only=st.booleans(),
+    frozen=st.booleans(),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_volume_clone_equals_deepcopy(
+    before, after, quota, reserved, synced, read_only, frozen
+):
+    fs = FileSystem(total_blocks=256)
+    sc = SyscallInterface(fs)
+    fs.set_quota(0, quota)
+    for op, index, size in before:
+        _apply_more(sc, op, index, size)
+    if synced:
+        fs.sync()
+    fs.device.reserved_blocks = reserved
+    for inode in list(fs.inodes.all_inodes())[::2]:
+        fs.mark_text_busy(inode.ino)
+    fs.read_only, fs.frozen = read_only, frozen
+    clone = fs.clone()
+    want = _volume(copy.deepcopy(fs))
+    assert _volume(clone) == want
+    # Ops on either volume leave the other alone.
+    _churn(fs, after)
+    assert _volume(clone) == want
+    live = _volume(fs)
+    _churn(clone, after)
+    assert _volume(fs) == live
