@@ -28,11 +28,18 @@ Throughput notes: the chunk grammars validate all structure inside the
 regex engine (one C call per chunk), field/argument parsing is memoized
 per parser on the part strings that repeat across a trace
 (``flags = 577``, ``AT_FDCWD``), and each event costs one tuple append
-instead of a :func:`~repro.trace.events.make_event` args copy.  For
-LTTng, an entry followed by its own exit is one ``findall`` match that
-bypasses the pairing table, and each parser parses a repeated field
-block once (see
-:meth:`~repro.trace.lttng.LttngParser.entry_fields`).
+instead of a :func:`~repro.trace.events.make_event` args copy.
+
+For LTTng, one ``findall`` splits a chunk into units (an entry line with
+the exit line right after it, or any other line) and cuts off each
+line's stamp.  What the text after a stamp says is memoized per parser,
+so a line a suite repeats is read once, and an entry followed by its
+own exit is one row that bypasses the pairing table.  The memo holds
+at most 1,024 rests and clears when full; a fill that ends with fewer
+hits than misses (a trace whose lines stop repeating) switches it off,
+and the parser reads the rest of its input with the full grammar, one
+``findall`` match per event, parsing each repeated field block once
+(see :meth:`~repro.trace.lttng.LttngParser.entry_fields`).
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import re
 from typing import Any, Iterable, Iterator
 
 from repro.trace.events import CappedMemo, SyscallEvent, event_from_row, split_lines
-from repro.trace.lttng import LttngParser, _WRITER_RE_M, pair_row
+from repro.trace.lttng import LttngParser, _REST_RE, _UNIT_RE_M, _WRITER_RE_M, pair_row
 from repro.trace.strace import (
     _CALL_PATTERN as _STRACE_PATTERN,
     _CALL_RE as _STRACE_RE,
@@ -70,6 +77,12 @@ _MISS = object()
 #: Most decimal tokens (pids, retvals: they repeat heavily) one parser
 #: memoizes.
 _INT_MEMO_CAP = 65536
+
+#: Most line rests (the text after a line's stamp) one
+#: :class:`LttngBatchParser` memoizes.  A full memo ends a *fill*: it
+#: clears, like the field memo, unless the fill had fewer hits than
+#: misses, which switches the memo off.
+_REST_MEMO_CAP = 1024
 
 
 def make_parse_stats(
@@ -195,6 +208,17 @@ class LttngBatchParser:
     FIFO entry/exit pairing per (pid, name), same orphan-exit skipping,
     same skipped/malformed accounting.  The pairing table lives on the
     instance so pairs may span chunk boundaries.
+
+    Test suites repeat their calls, so most lines are identical once
+    their stamp (time and delta) is cut off.  The parser memoizes what
+    each such *rest* says (:meth:`_read_rest`) and splits a chunk into
+    units with one ``findall`` (:data:`~repro.trace.lttng._UNIT_RE_M`).
+    The memo holds at most ``_REST_MEMO_CAP`` rests.  When a full memo
+    has had fewer hits than misses since it last cleared, the parser
+    drops it and reads the rest of its input with the full grammar
+    (:meth:`_consume_matches`), starting over with the chunk at hand.
+    The memo and that switch belong to the parser, so every reader and
+    every live session decides for its own input.
     """
 
     format = "lttng"
@@ -204,6 +228,10 @@ class LttngBatchParser:
         #: lines the strict grammar declines).
         self._parser = LttngParser()
         self._ints = CappedMemo(int, _INT_MEMO_CAP)
+        #: line rest -> what it says; None once the memo is switched off.
+        self._rests: dict[str, tuple] | None = {}
+        #: memo hits since the memo last cleared.
+        self._rest_hits = 0
         self._pending: dict[tuple[int, str], list] = {}
         self.orphan_exits = 0
         #: indices, within the last parsed chunk's lines, of the lines
@@ -235,7 +263,13 @@ class LttngBatchParser:
 
     def parse_chunk(self, chunk: str) -> list[Row]:
         """Parse one newline-aligned text chunk into rows."""
-        rows = self._consume_matches(_WRITER_RE_M.findall(chunk), _line_count(chunk))
+        lines = _line_count(chunk)
+        rows = None
+        if self._rests is not None:
+            rows = self._consume_units(_UNIT_RE_M.findall(chunk), lines)
+        if rows is None and self._rests is None:
+            # The memo is off, or went off in this chunk.
+            rows = self._consume_matches(_WRITER_RE_M.findall(chunk), lines)
         if rows is None:
             rows = self._consume_lines(split_lines(chunk))
         else:
@@ -252,6 +286,104 @@ class LttngBatchParser:
             rows = self.parse_chunk(chunk)
             if rows:
                 yield EventBatch.from_rows(rows)
+
+    def _read_rest(self, rest: str) -> tuple | None:
+        """What a line says after its stamp, or None to decline.
+
+        An entry says ``((pid, name), comm, fields)``, an exit ``((pid,
+        name), comm, ret, errno)``.  A rest the strict grammar or
+        :meth:`~repro.trace.lttng.LttngParser.entry_fields` declines is
+        left to the per-line parser.
+        """
+        match = _REST_RE.fullmatch(rest)
+        if match is None:
+            return None
+        xname, xcomm, xpid, xret, ename, ecomm, epid, body = match.groups()
+        if xname:
+            ret = int(xret)
+            return (int(xpid), xname), xcomm, ret, -ret if ret < 0 else 0
+        fields = self._parser.entry_fields(body)
+        if fields is None:
+            return None
+        return (int(epid), ename), ecomm, fields
+
+    def _consume_units(self, units: list[tuple], lines: int) -> list[Row] | None:
+        """Memo path over :data:`_UNIT_RE_M` tuples; None means redo.
+
+        A unit whose exit has its entry's ``(pid, name)``, with no older
+        entry of that key waiting, is one row; every other line pairs
+        through the pending table.  Declines as :meth:`_consume_matches`
+        does, and when the memo switches off in this chunk.
+        """
+        pending = self._pending
+        snapshot = {key: list(queue) for key, queue in pending.items()}
+        orphans_before = self.orphan_exits
+        rests = self._rests
+        get = rests.get
+        hits = self._rest_hits
+        ts_ns = self._parser.ts_memo
+        rows: list[Row] = []
+        append = rows.append
+        singles = 0
+        for ts, nsf, entry, exit_, line in units:
+            if entry:
+                said = get(entry)
+                reply = get(exit_)
+                if said is not None and reply is not None:
+                    key = said[0]
+                    if reply[0] == key and not pending.get(key):
+                        hits += 2
+                        append((key[1], said[2].copy(), reply[2], reply[3], key[0],
+                                said[1] or reply[1], ts_ns[ts] + int(nsf)))
+                        continue
+                unit = (entry, exit_)
+            else:
+                singles += 1
+                unit = (line,)
+            for rest in unit:
+                said = get(rest)
+                if said is not None:
+                    hits += 1
+                else:
+                    if len(rests) >= _REST_MEMO_CAP:
+                        # The memo is full: this fill has ended.  Each
+                        # of its misses added one rest.
+                        if hits < len(rests):
+                            self._rests = None
+                            break
+                        rests.clear()
+                        hits = 0
+                    said = self._read_rest(rest)
+                    if said is None:
+                        break
+                    rests[rest] = said
+                key = said[0]
+                queue = pending.get(key)
+                if len(said) == 3:
+                    # An entry: it waits for its exit.
+                    record = (ts_ns[ts] + int(nsf), said[1], said[2].copy())
+                    if queue is None:
+                        pending[key] = [record]
+                    else:
+                        queue.append(record)
+                elif queue:
+                    entry_ns, comm, fields = queue.pop(0)
+                    append((key[1], fields, said[2], said[3], key[0], comm or said[1], entry_ns))
+                else:
+                    self.orphan_exits += 1
+            else:
+                continue
+            break
+        else:
+            if 2 * len(units) - singles == lines:
+                self._rest_hits = hits
+                return rows
+        # An unmatched line, a rest the strict grammar declines, or the
+        # memo went off: the chunk is parsed again from the start.
+        self._rest_hits = hits
+        self._pending = snapshot
+        self.orphan_exits = orphans_before
+        return None
 
     def _consume_matches(self, matches: list[tuple], lines: int) -> list[Row] | None:
         """Fast path over findall tuples; None means redo per-line.

@@ -20,9 +20,15 @@ parser memoizes the field blocks it has parsed, since test suites
 repeat the same calls over and over; a writer likewise memoizes the
 constant heads of its lines.
 
-A quoted value escapes ``\\``, ``"`` and a newline (as ``\n``), so a
-string argument holding braces, quotes or line breaks stays inside its
-field block and its line.
+The strict grammar of the writer's lines is written as a *stamp* (the
+time and the delta) and a *rest* (everything after the stamp), so the
+chunk parser (:class:`~repro.trace.batch.LttngBatchParser`) can
+memoize what a rest says: once the stamp is cut off, most lines of a
+suite's trace are repeats.
+
+A quoted value, the procname included, escapes ``\\``, ``"`` and a
+newline (as ``\n``), so a string argument or a comm holding braces,
+quotes or line breaks stays inside its field block and its line.
 """
 
 from __future__ import annotations
@@ -55,44 +61,59 @@ _NAME_RE = re.compile(r"\w+\Z")
 _CONTEXT_KEYS = ("pid", "procname", "cpu_id")
 
 #: Strict single-line grammar for exactly the shape :class:`LttngWriter`
-#: emits.  Everything structural — timestamp layout, context blocks,
-#: the quoted procname, the exit ``ret`` value — is validated by the
-#: regex engine in one C-level match, so the Python side only converts
-#: captured strings.  Lines that deviate (escaped procnames, extra
-#: context fields, leading-zero retvals, multi-digit hours, …) simply
-#: fail to match and take the permissive `_LINE_RE` path, so the fast
-#: path can never *disagree* with the slow one — it can only decline.
+#: emits: a *stamp* (time and delta), then a *rest* (host, event and
+#: field blocks).  Everything structural — timestamp layout, context
+#: blocks, the quoted procname, the exit ``ret`` value — is validated by
+#: the regex engine in one C-level match, so the Python side only
+#: converts captured strings.  Lines that deviate (escaped procnames,
+#: extra context fields, leading-zero retvals, multi-digit hours, …)
+#: simply fail to match and take the permissive `_LINE_RE` path, so the
+#: fast path can never *disagree* with the slow one — it can only
+#: decline.
 #:
-#: Groups: 1 ts(HH:MM:SS) 2 ns | exit: 3 name 4 comm 5 pid 6 ret
-#:                              | entry: 7 name 8 comm 9 pid 10 body
-_WRITER_HEAD = r"\[(\d\d:\d\d:\d\d)\.(\d{9})\] \(\+[0-9.]+\) \S+ syscall_"
-_WRITER_EXIT = (
-    r"exit_(\w+): \{ cpu_id = \d+ \}, "
-    r"\{ procname = \"([^\"\\{}]*)\", pid = (\d+) \}, "
-    r"\{ ret = (-?(?:0|[1-9]\d*)) \}"
-)
-_WRITER_ENTRY = (
-    r"entry_(\w+): \{ cpu_id = \d+ \}, "
-    r"\{ procname = \"([^\"\\{}]*)\", pid = (\d+) \}, "
-    r"\{ (.*) \}"
-)
-_WRITER_RE = re.compile(f"{_WRITER_HEAD}(?:{_WRITER_EXIT}|{_WRITER_ENTRY})$")
+#: ``[HH:MM:SS.nnnnnnnnn] (+d.ddddddddd) ``: the stamp, delta included,
+#: with the second's label and the nanoseconds as ``%s`` holes.
+_STAMP = r"\[%s\.%s\] \(\+[0-9.]+\) "
+#: A stamp whose time is read (groups: HH:MM:SS, nanoseconds) and one
+#: whose time is not (the exit line after an entry).
+_READ_STAMP = _STAMP % (r"(\d\d:\d\d:\d\d)", r"(\d{9})")
+_NEXT_STAMP = _STAMP % (r"\d\d:\d\d:\d\d", r"\d{9}")
+#: The context block and the separator after it, with the pid's
+#: pattern as a ``%s`` hole; group: comm.
+_CONTEXT = r": \{ cpu_id = \d+ \}, \{ procname = \"([^\"\\{}]*)\", pid = %s \}, "
+_RET = r"\{ ret = (-?(?:0|[1-9]\d*)) \}"
+#: The host, then the event's kind and name.
+_EVENT = r"\S+ syscall_"
+_WRITER_EXIT = r"exit_(\w+)" + _CONTEXT % r"(\d+)" + _RET
+_WRITER_ENTRY = r"entry_(\w+)" + _CONTEXT % r"(\d+)" + r"\{ (.*) \}"
+#: What a writer line says after its stamp.
+#: Groups: exit: 1 name 2 comm 3 pid 4 ret | entry: 5 name 6 comm 7 pid 8 body
+_WRITER_REST = f"{_EVENT}(?:{_WRITER_EXIT}|{_WRITER_ENTRY})"
+_REST_RE = re.compile(_WRITER_REST)
+
+#: Groups: 1 ts(HH:MM:SS) 2 ns, then the rest's groups shifted by two.
+_WRITER_RE = re.compile(f"{_READ_STAMP}{_WRITER_REST}$")
 
 #: The next line when it is the matched entry's own exit: the same name
 #: and pid (backreferences to groups 7 and 9), and otherwise what the
 #: exit alternative accepts.  Groups: 11 comm 12 ret.
-_OWN_EXIT = (
-    r"\n\[\d\d:\d\d:\d\d\.\d{9}\] \(\+[0-9.]+\) \S+ syscall_"
-    r"exit_\7: \{ cpu_id = \d+ \}, "
-    r"\{ procname = \"([^\"\\{}]*)\", pid = \9 \}, "
-    r"\{ ret = (-?(?:0|[1-9]\d*)) \}"
-)
+_OWN_EXIT = r"\n" + _NEXT_STAMP + _EVENT + r"exit_\7" + _CONTEXT % r"\9" + _RET
 #: Chunk-mode grammar for `findall` over whole reads, anchored per
 #: line.  Its pair alternative is an entry followed by its own exit, so
 #: a writer-shaped event costs one match; groups 11 and 12 are empty
 #: for a lone entry or exit.
 _WRITER_RE_M = re.compile(
-    f"(?m)^{_WRITER_HEAD}(?:{_WRITER_EXIT}|{_WRITER_ENTRY}(?:{_OWN_EXIT})?)$"
+    f"(?m)^{_READ_STAMP}{_EVENT}(?:{_WRITER_EXIT}|{_WRITER_ENTRY}(?:{_OWN_EXIT})?)$"
+)
+
+#: Chunk-mode split into *units* for the line memo of
+#: :class:`~repro.trace.batch.LttngBatchParser`: an entry line with the
+#: exit line right after it, or any other stamped line.  Only the
+#: stamps are checked here; what each rest says is the rest grammar's
+#: to decide.  Groups: 1 ts(HH:MM:SS) 2 ns of the unit's first line |
+#: pair: 3 entry rest 4 exit rest | other: 5 the line's rest.
+_UNIT_RE_M = re.compile(
+    rf"(?m)^{_READ_STAMP}(?:({_EVENT}entry_.*)\n{_NEXT_STAMP}({_EVENT}exit_.*)|(.*))$"
 )
 
 #: Most field blocks one :class:`LttngParser` memoizes before it starts
@@ -230,7 +251,8 @@ class LttngWriter:
     def _line_heads(self, key: tuple[str, str, int]) -> tuple[str, str]:
         """The entry and exit line text between timestamp and payload."""
         name, comm, pid = key
-        context = f'{{ cpu_id = 0 }}, {{ procname = "{comm or "tester"}", pid = {pid} }}'
+        procname = _format_value(comm or "tester")
+        context = f"{{ cpu_id = 0 }}, {{ procname = {procname}, pid = {pid} }}"
         head = f"] (+0.000000001) {self.hostname} syscall_"
         return f"{head}entry_{name}: {context}, {{ ", f"{head}exit_{name}: {context}, {{ ret = "
 

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 from repro.core import IOCov
 from repro.obs.ingest import QUARANTINE_CAP, IngestSession
-from repro.trace.batch import make_parse_stats
-from repro.trace.binary import convert_file
+from repro.trace import batch
+from repro.trace.batch import LttngBatchParser, make_parse_stats
+from repro.trace.binary import convert_file, read_rbt_events
 from repro.trace.events import make_event, split_lines
 from repro.trace.lttng import LttngParser, LttngWriter
 from repro.trace.strace import StraceParser
@@ -295,3 +296,91 @@ def test_string_arguments_survive_every_text_path(events):
             assert got == want, name
             assert stats["malformed_lines"] == 0, name
             assert stats["skipped_lines"] == stats["unpaired_entries"] == 0, name
+
+
+# -- the line memo switching off mid-stream -------------------------------------------
+
+#: A small cap, so that fills of the batch parser's line memo end inside
+#: these short traces.
+_SMALL_REST_CAP = 8
+
+
+def _memo_trace(rests_stop_repeating: bool) -> str:
+    """200 events in blocks of 20 that share a path.
+
+    Each block brings one new rest, so a fill ends with many more hits
+    than misses.  With *rests_stop_repeating*, every event after the
+    first 60 has a pid of its own, and the next fill has no hits.
+    """
+    events = []
+    for i in range(200):
+        pid = 1000 + i if rests_stop_repeating and i >= 60 else 1
+        events += [
+            _openat(f"/mnt/test/f{i // 20}", 3, pid),
+            make_event("write", {"fd": 3, "count": 512}, 512, pid=pid),
+            make_event("close", {"fd": 3}, 0, pid=pid),
+        ]
+    return LttngWriter().dumps(events)
+
+
+@pytest.mark.parametrize("rests_stop_repeating", (True, False), ids=("switches", "stays-on"))
+@given(
+    junk_at=st.one_of(st.none(), st.integers(0, 1200)),
+    pieces=st.lists(st.integers(1, 300), min_size=1, max_size=5),
+)
+@settings(max_examples=15, deadline=None)
+def test_every_ingest_path_agrees_when_the_memo_switches(rests_stop_repeating, junk_at, pieces):
+    lines = split_lines(_memo_trace(rests_stop_repeating))
+    if junk_at is not None:
+        lines.insert(junk_at, "utter garbage")
+    text = "\n".join(lines) + "\n"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batch, "_REST_MEMO_CAP", _SMALL_REST_CAP)
+        probe = LttngBatchParser()
+        probe.parse_chunk(_memo_trace(rests_stop_repeating))
+        assert (probe._rests is None) == rests_stop_repeating
+        want = _reference("lttng", text)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "trace.lttng.txt")
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            for name, got in _file_paths("lttng", path, directory).items():
+                assert got == want, name
+        report, stats, quarantined = _session("lttng", text, pieces)
+    assert (report, stats) == want
+    assert quarantined == _rejected_line_numbers("lttng", text)
+    assert len(quarantined) == (junk_at is not None)
+
+
+# -- comms survive every text path ----------------------------------------------------
+
+#: Characters that once made a comm come back empty, or split its lines.
+_AWKWARD_COMMS = st.text(alphabet='a"\\\n\r{} \u2028é中', min_size=1, max_size=6)
+
+
+@given(
+    comms=st.lists(_AWKWARD_COMMS, min_size=1, max_size=4),
+    events=_EVENTS.filter(bool),
+)
+@settings(max_examples=60, deadline=None)
+def test_comms_survive_every_text_path(comms, events):
+    events = [event._replace(comm=comms[i % len(comms)]) for i, event in enumerate(events)]
+    written = [event.comm for event in events]
+    want = IOCov(mount_point=MOUNT, suite_name=SUITE).consume(events).report().to_json()
+    text = LttngWriter().dumps(events)
+    parser = LttngParser()
+    parsed = parser.parse_text(text)
+    assert [event.comm for event in parsed] == written
+    assert parser.malformed_lines == 0
+    assert IOCov(mount_point=MOUNT, suite_name=SUITE).consume(parsed).report().to_json() == want
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "trace.lttng.txt")
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        batches = LttngBatchParser().iter_file_batches(path)
+        assert [row[5] for chunk in batches for row in chunk.rows()] == written
+        for name, (got, stats) in _file_paths("lttng", path, directory).items():
+            assert got == want, name
+            assert stats["malformed_lines"] == 0, name
+        rbt = os.path.join(directory, "trace.rbt")
+        assert [event.comm for event in read_rbt_events(rbt)] == written

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.trace import batch
 from repro.trace.batch import (
     EventBatch,
     LttngBatchParser,
@@ -331,6 +332,9 @@ def _memos(parser) -> list[dict]:
     if isinstance(parser, LttngBatchParser):
         line_parser = parser._parser
         memos += [line_parser._field_memo, line_parser._part_memo, line_parser.ts_memo]
+        if parser._rests is not None:
+            # The line memo, until a fill with few hits drops it.
+            memos.append(parser._rests)
     else:
         memos.append(parser._args)
     return memos
@@ -341,7 +345,7 @@ def test_memos_belong_to_each_parser_and_stay_capped(monkeypatch):
 
     for module, name in ((lttng, "_FIELD_MEMO_CAP"), (lttng, "_PART_MEMO_CAP"),
                          (lttng, "_TS_MEMO_CAP"), (batch, "_INT_MEMO_CAP"),
-                         (batch, "_ARG_MEMO_CAP")):
+                         (batch, "_ARG_MEMO_CAP"), (batch, "_REST_MEMO_CAP")):
         monkeypatch.setattr(module, name, 8)
     # Every event brings a new pid, second, path, flags value and fd.
     events = [
@@ -361,3 +365,172 @@ def test_memos_belong_to_each_parser_and_stay_capped(monkeypatch):
         for memo in _memos(first):
             assert 0 < len(memo) <= 8
         assert all(not memo for memo in _memos(second))
+
+
+# -- the line memo ---------------------------------------------------------------
+
+#: Comms a tracer may record: plain or empty, or with a quote, a
+#: backslash or a newline (escaped, so the strict grammar declines them).
+_COMMS = st.one_of(
+    st.sampled_from(["tester", "", "fsx"]),
+    st.sampled_from(["tester", 'say "hi"', "back\\slash", "two\nlines"]),
+)
+
+
+def _quoted(text: str) -> str:
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
+
+
+def _babeltrace_line(ns, delta, host, kind, name, cpu, comm, pid, payload) -> str:
+    """One line as babeltrace prints it: any delta, cpu and host."""
+    seconds, nanos = divmod(ns, 1_000_000_000)
+    minutes, sec = divmod(seconds, 60)
+    hours, minute = divmod(minutes, 60)
+    return (
+        f"[{hours % 24:02d}:{minute:02d}:{sec:02d}.{nanos:09d}] (+0.{delta:09d}) "
+        f"{host} syscall_{kind}_{name}: {{ cpu_id = {cpu} }}, "
+        f"{{ procname = {_quoted(comm)}, pid = {pid} }}, {{ {payload} }}"
+    )
+
+
+#: An event shape: what its two lines say after their stamps.
+_SHAPE = st.tuples(
+    st.sampled_from(["read", "readv", "write"]),  # names sharing a prefix
+    st.sampled_from([7, 8]),  # pid
+    st.integers(min_value=-3, max_value=3),  # retval
+    st.integers(min_value=0, max_value=2),  # count
+    st.booleans(),  # the exit writes its pid with a leading zero
+)
+
+#: What a process's lines share: its cpu, host and comm.
+_PROCESS = st.tuples(
+    st.integers(min_value=0, max_value=3), st.sampled_from(["sim", "node-2"]), _COMMS
+)
+
+
+@st.composite
+def _babeltrace_texts(draw):
+    """Writer-like text with delayed exits, dropped lines and noise.
+
+    Events draw on a few shapes, so rests repeat and the memo gets hits.
+    """
+    processes = {7: draw(_PROCESS), 8: draw(_PROCESS)}
+    shapes = draw(st.lists(_SHAPE, min_size=1, max_size=6))
+    events = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=5),
+                  st.integers(min_value=0, max_value=3)),  # exit delay, in entries
+        min_size=1, max_size=40,
+    ))
+    slots = []
+    for index, (shape, delay) in enumerate(events):
+        name, pid, ret, count, zero = shapes[shape % len(shapes)]
+        cpu, host, comm = processes[pid]
+        ns = 3_600_000_000_000 + index * 1_234_567
+        delta = index * 1_237 % 100_000
+        slots.append(((index, 0, index), _babeltrace_line(
+            ns, delta, host, "entry", name, cpu, comm, pid, f"fd = 3, count = {count}")))
+        slots.append(((index + delay, 1, index), _babeltrace_line(
+            ns + 500, delta + 1, host, "exit", name, cpu, comm,
+            f"0{pid}" if zero else pid, f"ret = {ret}")))
+    lines = [line for _, line in sorted(slots)]
+    # A dropped entry leaves an orphan exit, a dropped exit a lone entry.
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        del lines[draw(st.integers(min_value=0, max_value=len(lines) - 1))]
+    for extra in draw(st.lists(st.sampled_from(["", "not an lttng line"]), max_size=2)):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), extra)
+    return "".join(line + "\n" for line in lines)
+
+
+def _parse_in_cuts(parser, text: str, cuts) -> list:
+    lines = text.splitlines(keepends=True)
+    rows = []
+    index = 0
+    cut_iter = itertools.cycle(cuts)
+    while index < len(lines):
+        step = next(cut_iter)
+        rows.extend(parser.parse_chunk("".join(lines[index : index + step])))
+        index += step
+    return rows
+
+
+@given(
+    text=_babeltrace_texts(),
+    cuts=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=5),
+)
+@example(  # memoized rests, and an older entry waits when the next meets its exit
+    text="".join(
+        _babeltrace_line(ns, 1_234, "sim", kind, "read", 0, "tester", 7, payload) + "\n"
+        for ns, kind, payload in [
+            (10, "entry", "fd = 3, count = 1"),
+            (20, "exit", "ret = 1"),
+            (30, "entry", "fd = 3, count = 1"),
+            (40, "entry", "fd = 3, count = 1"),
+            (50, "exit", "ret = 1"),
+            (60, "exit", "ret = 1"),
+        ]
+    ),
+    cuts=[100],
+)
+@settings(max_examples=150, deadline=None)
+def test_lttng_memo_paths_match_per_line_parser(text, cuts):
+    """Both chunk paths, memo on and switched off, equal the per-line parse.
+
+    With the default cap no fill ends in so short a trace; with a cap
+    of 2 fills end, and one with few hits hands the rest of the input,
+    from that chunk on, to the full grammar.
+    """
+    want = _per_line_reference(text)
+    for cap in (batch._REST_MEMO_CAP, 2):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(batch, "_REST_MEMO_CAP", cap)
+            parser = LttngBatchParser()
+            rows = _parse_in_cuts(parser, text, cuts)
+        assert (rows, parser.stats()) == want, cap
+
+
+def test_a_fill_with_few_hits_switches_the_memo_off(monkeypatch):
+    monkeypatch.setattr(batch, "_REST_MEMO_CAP", 4)
+    writer = LttngWriter()
+
+    def events(pids, repeats, start):
+        return [
+            make_event("read", {"fd": 3, "count": pid}, pid, pid=pid,
+                       timestamp=(start + i) * 1_000)
+            for i, pid in enumerate(pid for pid in pids for _ in range(repeats))
+        ]
+
+    chunks = [
+        # Three shapes, three times each: the first fill ends on the
+        # third shape's entry with 8 hits for 4 misses, so it clears.
+        writer.dumps(events([1, 2, 3], 3, 0)),
+        # A new pid per event: the fill holding the third shape ends on
+        # the second event with 4 hits for 4 misses and clears; the
+        # next ends with 0 hits, on the fourth event, and the memo goes
+        # off in this chunk.
+        writer.dumps(events(range(100, 106), 1, 10)),
+        writer.dumps(events([1, 2, 3], 2, 20)),
+    ]
+    parser = LttngBatchParser()
+    calls = []
+    for name in ("_consume_units", "_consume_matches"):
+        method = getattr(parser, name)
+        monkeypatch.setattr(
+            parser, name, lambda *args, _m=method, _n=name: calls.append(_n) or _m(*args)
+        )
+    rows, paths = [], []
+    for number, chunk in enumerate(chunks):
+        calls.clear()
+        rows += parser.parse_chunk(chunk)
+        paths.append(list(calls))
+        if number == 0:
+            # Cleared when full: only the last shape's two rests remain.
+            assert parser._rests is not None and len(parser._rests) == 2
+    assert parser._rests is None
+    assert paths == [
+        ["_consume_units"],
+        ["_consume_units", "_consume_matches"],
+        ["_consume_matches"],
+    ]
+    assert (rows, parser.stats()) == _per_line_reference("".join(chunks))
+    assert len(rows) == 9 + 6 + 6
