@@ -6,12 +6,13 @@ package answers the questions that need *memory and liveness*:
 * :mod:`repro.obs.store` — the abstract :class:`BaseRunStore` interface
   with a schema-versioned single-file SQLite backend
   (:class:`RunStore`) persisting full coverage runs (every partition
-  count, TCD scores, suite/seed/trace metadata, throughput stats) plus
-  the ingest journal the daemon replays after a crash; every run lives
-  in a ``tenant/project`` namespace;
-* :mod:`repro.obs.sharded` — the sharded backend: one SQLite shard and
-  one CRC-framed crash-recovery journal per namespace, fsynced once
-  per acknowledged request, plus the single-file→sharded migration;
+  count, TCD scores, suite/seed/trace metadata, throughput stats);
+  every run lives in a ``tenant/project`` namespace;
+* :mod:`repro.obs.sharded` — the sharded backend: one SQLite shard per
+  namespace, plus the single-file→sharded migration;
+* :mod:`repro.obs.journal` — the ingest journal the daemon replays
+  after a crash, the same for both backends: one CRC-framed file per
+  namespace, fsynced once per acknowledged request;
 * :mod:`repro.obs.ingest` — the live ingestion pipeline: each fed
   chunk is journaled, then parsed and counted in the caller's thread,
   with malformed-line quarantine and a configurable error budget,
@@ -31,7 +32,8 @@ package answers the questions that need *memory and liveness*:
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.regress import RegressionFinding, RegressionReport, diff_reports
-from repro.obs.sharded import BatchedJournal, ShardedRunStore, migrate_single_to_sharded
+from repro.obs.journal import BatchedJournal
+from repro.obs.sharded import ShardedRunStore, migrate_single_to_sharded
 from repro.obs.store import (
     DEFAULT_PROJECT,
     DEFAULT_TENANT,

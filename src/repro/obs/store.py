@@ -6,22 +6,30 @@ Two backends implement one abstract interface (:class:`BaseRunStore`):
   database holds every analyzed run — the full report document (for
   lossless reload via :meth:`CoverageReport.from_dict`), normalized
   per-partition count tables (for SQL over history), per-run TCD
-  scores, run metadata, and the ingest journal.  Kept for
-  compatibility; v1 files are migrated in place to the namespaced v2
-  schema on open.
+  scores and run metadata.  Older files are upgraded in place on open:
+  v1 rows join ``default/default``, and a v1/v2 ``journal`` table
+  moves into journal files (v3).
 * :class:`~repro.obs.sharded.ShardedRunStore` — a directory-backed
   store that maps each ``tenant/project`` namespace to its own SQLite
-  shard with a per-shard lock and a write-batched crash-recovery
-  journal file (group commit: one fsync per acknowledged request).
+  shard.
+
+Both backends keep the ingest journal the same way, in code written
+once on :class:`BaseRunStore`: one CRC-framed ``journal.rjl`` per
+namespace (:mod:`repro.obs.journal`), under the sharded store's
+directory or under ``<db path>.journal`` beside a single-file store,
+fsynced once per acknowledged request.
 
 Every run (and journal record) belongs to a ``tenant/project``
 namespace; the default namespace is ``default/default`` so pre-tenant
 callers keep working unchanged.  :func:`open_store` picks the backend
 from the path shape (file → single-file, directory → sharded).
 
-Concurrency: SQLite in WAL mode behind a per-store lock.  One process
-may serve reads and writes from many threads (the daemon does); for
-multi-process use every writer opens its own store.
+Concurrency: SQLite in WAL mode behind a per-store lock, and a lock
+per journal.  One process may serve reads and writes from many threads
+(the daemon does), and other processes may open the store to read or
+save runs.  A journal has one writer: a namespace's file opens (and
+loses a torn tail) only on the first ``journal_*`` call, which only the
+daemon, under its store lock, and ``migrate-store`` make.
 """
 
 from __future__ import annotations
@@ -30,17 +38,21 @@ import abc
 import json
 import os
 import re
+import shutil
 import sqlite3
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.core.report import CoverageReport
+from repro.obs.journal import JOURNAL_FILE, BatchedJournal
 
 #: Current on-disk schema version; bumped on incompatible changes.
-#: v2 added the ``tenant`` / ``project`` namespace columns.
-SCHEMA_VERSION = 2
+#: v2 added the ``tenant`` / ``project`` namespace columns; v3 moved
+#: the ``journal`` table into journal files.
+SCHEMA_VERSION = 3
 
 #: Uniform TCD target recorded with every run (same default the
 #: regression gate uses, so stored scores and gate thresholds align).
@@ -100,15 +112,6 @@ CREATE TABLE IF NOT EXISTS tcd_scores (
     tcd     REAL NOT NULL,
     PRIMARY KEY (run_id, kind, syscall, arg)
 );
-CREATE TABLE IF NOT EXISTS journal (
-    seq     INTEGER PRIMARY KEY AUTOINCREMENT,
-    session TEXT NOT NULL,
-    tenant  TEXT NOT NULL DEFAULT 'default',
-    project TEXT NOT NULL DEFAULT 'default',
-    line    TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS journal_session
-    ON journal (tenant, project, session, seq);
 """
 
 
@@ -135,6 +138,26 @@ def validate_namespace(tenant: str, project: str) -> tuple[str, str]:
                 "max 64 chars"
             )
     return tenant, project
+
+
+def namespaces_under(root: str, filename: str) -> list[tuple[str, str]]:
+    """Every ``(tenant, project)`` whose ``<root>/<tenant>/<project>/``
+    directory holds *filename*, sorted; none when *root* is missing."""
+    found: list[tuple[str, str]] = []
+    if not os.path.isdir(root):
+        return found
+    for tenant in sorted(os.listdir(root)):
+        tenant_dir = os.path.join(root, tenant)
+        if tenant.startswith(".") or not os.path.isdir(tenant_dir):
+            continue
+        for project in sorted(os.listdir(tenant_dir)):
+            if os.path.exists(os.path.join(tenant_dir, project, filename)):
+                found.append((tenant, project))
+    return found
+
+
+def _journal_path(root: str, tenant: str, project: str) -> str:
+    return os.path.join(root, tenant, project, JOURNAL_FILE)
 
 
 @dataclass(frozen=True)
@@ -180,7 +203,10 @@ class BaseRunStore(abc.ABC):
 
     All methods take the run's ``tenant``/``project`` namespace as
     keyword arguments defaulting to ``default/default``; list-shaped
-    queries accept ``None`` to mean "across every namespace".
+    queries accept ``None`` to mean "across every namespace".  The
+    ``journal_*`` methods are implemented here for every backend; a
+    backend's ``__init__`` names their root (:meth:`_open_journals`)
+    and its ``close`` closes them.
     """
 
     path: str
@@ -276,11 +302,51 @@ class BaseRunStore(abc.ABC):
 
     @abc.abstractmethod
     def namespaces(self) -> list[tuple[str, str]]:
-        """Every ``(tenant, project)`` with stored runs or journal data."""
+        """Every ``(tenant, project)`` with stored runs or a journal file."""
 
     # -- the ingest journal ---------------------------------------------------
+    #
+    # Written once for both backends: one BatchedJournal per namespace,
+    # at <root>/<tenant>/<project>/journal.rjl under the root a backend
+    # passes to _open_journals.
 
-    @abc.abstractmethod
+    def _open_journals(self, root: str) -> None:
+        """Root the namespace journals at *root*; each opens on first use."""
+        self._journal_root = root
+        self._journals_lock = threading.Lock()
+        self._journals: dict[tuple[str, str], BatchedJournal] = {}
+
+    def _journal(
+        self, tenant: str, project: str, *, create: bool = False
+    ) -> BatchedJournal | None:
+        """A namespace's journal, opened on its first ``journal_*`` call.
+
+        Opening truncates a torn tail, which only the store's one writer
+        (the daemon, or ``migrate-store``) may do: a store another
+        process opens to read runs leaves every journal file untouched.
+        """
+        with self._journals_lock:
+            journal = self._journals.get((tenant, project))
+            if journal is not None:
+                return journal
+            try:
+                validate_namespace(tenant, project)
+            except NamespaceError:
+                if create:
+                    raise
+                return None
+            path = _journal_path(self._journal_root, tenant, project)
+            if create:
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+            elif not os.path.exists(path):
+                return None
+            journal = self._journals[tenant, project] = BatchedJournal(path)
+        return journal
+
+    def _all_journals(self) -> list[tuple[tuple[str, str], BatchedJournal]]:
+        with self._journals_lock:
+            return list(self._journals.items())
+
     def journal_append(
         self,
         session: str,
@@ -289,9 +355,12 @@ class BaseRunStore(abc.ABC):
         tenant: str = DEFAULT_TENANT,
         project: str = DEFAULT_PROJECT,
     ) -> None:
-        """Durably record raw trace lines before they are counted."""
+        """Record raw trace lines before they are counted.
 
-    @abc.abstractmethod
+        They are durable after the next :meth:`journal_sync`.
+        """
+        self._journal(tenant, project, create=True).append(session, lines)
+
     def journal_lines(
         self,
         session: str,
@@ -300,17 +369,19 @@ class BaseRunStore(abc.ABC):
         project: str = DEFAULT_PROJECT,
     ) -> Iterator[str]:
         """Replay a session's journal in append order."""
+        journal = self._journal(tenant, project)
+        return iter(()) if journal is None else journal.lines(session)
 
-    @abc.abstractmethod
     def journal_size(
         self,
         session: str,
         *,
         tenant: str = DEFAULT_TENANT,
         project: str = DEFAULT_PROJECT,
-    ) -> int: ...
+    ) -> int:
+        journal = self._journal(tenant, project)
+        return 0 if journal is None else journal.size(session)
 
-    @abc.abstractmethod
     def journal_clear(
         self,
         session: str,
@@ -319,13 +390,43 @@ class BaseRunStore(abc.ABC):
         project: str = DEFAULT_PROJECT,
     ) -> None:
         """Drop a session's journal (after its snapshot persisted)."""
+        journal = self._journal(tenant, project)
+        if journal is not None:
+            journal.clear(session)
 
-    @abc.abstractmethod
+    def journal_sessions(
+        self,
+        *,
+        tenant: str = DEFAULT_TENANT,
+        project: str = DEFAULT_PROJECT,
+    ) -> list[str]:
+        """Session names with journal records in one namespace."""
+        journal = self._journal(tenant, project)
+        return [] if journal is None else journal.sessions()
+
     def journal_namespaces(self) -> list[tuple[str, str]]:
         """Every ``(tenant, project)`` with journal records to replay."""
+        return [
+            (tenant, project)
+            for tenant, project in self._journal_files()
+            if self.journal_sessions(tenant=tenant, project=project)
+        ]
+
+    def _journal_files(self) -> list[tuple[str, str]]:
+        """Every ``(tenant, project)`` with a journal file, unopened."""
+        return namespaces_under(self._journal_root, JOURNAL_FILE)
 
     def journal_sync(self) -> None:
-        """Force pending journal writes to disk (no-op by default)."""
+        """Commit every namespace's pending journal group to disk."""
+        for _key, journal in self._all_journals():
+            journal.sync()
+
+    def _close_journals(self) -> None:
+        with self._journals_lock:
+            journals = list(self._journals.values())
+            self._journals.clear()
+        for journal in journals:
+            journal.close()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -342,9 +443,13 @@ class BaseRunStore(abc.ABC):
 class RunStore(BaseRunStore):
     """Durable coverage-run history in one SQLite file.
 
+    The ingest journal lives beside the file, under
+    ``<path>.journal/<tenant>/<project>/journal.rjl``.
+
     Args:
         path: database file (parent directories are created); use
-            ``":memory:"`` for an ephemeral store in tests.
+            ``":memory:"`` for an ephemeral store in tests (its journal
+            goes to a temporary directory, removed on close).
         tcd_target: uniform target recorded with each run's TCD scores.
     """
 
@@ -353,7 +458,10 @@ class RunStore(BaseRunStore):
     def __init__(self, path: str, tcd_target: float = DEFAULT_TCD_TARGET) -> None:
         self.path = path
         self.tcd_target = tcd_target
-        if path != ":memory:":
+        if path == ":memory:":
+            journal_root = tempfile.mkdtemp(prefix="iocov-journal-")
+        else:
+            journal_root = f"{path}.journal"
             parent = os.path.dirname(os.path.abspath(path))
             os.makedirs(parent, exist_ok=True)
         self._lock = threading.RLock()
@@ -362,9 +470,10 @@ class RunStore(BaseRunStore):
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute("PRAGMA foreign_keys=ON")
-        self._init_schema()
+        self._init_schema(journal_root)
+        self._open_journals(journal_root)
 
-    def _init_schema(self) -> None:
+    def _init_schema(self, journal_root: str) -> None:
         with self._lock, self._conn:
             # A pre-namespace (v1) file must be migrated *before* the
             # current schema text runs: its index DDL references the
@@ -381,12 +490,16 @@ class RunStore(BaseRunStore):
             if found == 1:
                 self._migrate_v1_to_v2()
             self._conn.executescript(_SCHEMA)
-            if found is None:
+            if found != SCHEMA_VERSION:
+                # Opens the transaction the journal table's drop joins.
                 self._conn.execute(
                     "INSERT OR REPLACE INTO schema_meta (key, value)"
                     " VALUES ('schema_version', ?)",
                     (str(SCHEMA_VERSION),),
                 )
+            if found is not None and found < SCHEMA_VERSION:
+                self._move_journal_table(journal_root)
+                self._conn.execute("DROP TABLE journal")
 
     def _table_exists(self, name: str) -> bool:
         return self._conn.execute(
@@ -406,15 +519,37 @@ class RunStore(BaseRunStore):
                         f"ALTER TABLE {table} ADD COLUMN {column} TEXT "
                         "NOT NULL DEFAULT 'default'"
                     )
-        self._conn.execute("DROP INDEX IF EXISTS journal_session")
-        self._conn.execute(
-            "UPDATE schema_meta SET value = ? WHERE key = 'schema_version'",
-            (str(SCHEMA_VERSION),),
-        )
+
+    def _move_journal_table(self, root: str) -> None:
+        """v2 → v3: write the ``journal`` table's rows to journal files.
+
+        Each namespace's file is written afresh from the table, which
+        stays the source of truth until its drop commits: a move that a
+        crash cut short is redone on the next open, never doubled.
+        """
+        namespaces: dict[tuple[str, str], list[sqlite3.Row]] = {}
+        for row in self._conn.execute(
+            "SELECT session, tenant, project, line FROM journal ORDER BY seq"
+        ).fetchall():
+            namespaces.setdefault((row["tenant"], row["project"]), []).append(row)
+        for (tenant, project), rows in namespaces.items():
+            path = _journal_path(root, *validate_namespace(tenant, project))
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            if os.path.exists(path):
+                os.remove(path)
+            journal = BatchedJournal(path)
+            try:
+                for row in rows:
+                    journal.append(row["session"], [row["line"]])
+            finally:
+                journal.close()
 
     def close(self) -> None:
+        self._close_journals()
         with self._lock:
             self._conn.close()
+        if self.path == ":memory:":
+            shutil.rmtree(self._journal_root, ignore_errors=True)
 
     # -- saving runs ----------------------------------------------------------
 
@@ -688,98 +823,9 @@ class RunStore(BaseRunStore):
         with self._lock:
             rows = self._conn.execute(
                 "SELECT DISTINCT tenant, project FROM runs"
-                " UNION SELECT DISTINCT tenant, project FROM journal"
-                " ORDER BY tenant, project"
             ).fetchall()
-        return [(row["tenant"], row["project"]) for row in rows]
-
-    # -- the ingest journal ---------------------------------------------------
-
-    def journal_append(
-        self,
-        session: str,
-        lines: Iterable[str],
-        *,
-        tenant: str = DEFAULT_TENANT,
-        project: str = DEFAULT_PROJECT,
-    ) -> None:
-        """Durably record raw trace lines before they are counted."""
-        with self._lock, self._conn:
-            self._conn.executemany(
-                "INSERT INTO journal (session, tenant, project, line)"
-                " VALUES (?, ?, ?, ?)",
-                ((session, tenant, project, line) for line in lines),
-            )
-
-    def journal_lines(
-        self,
-        session: str,
-        *,
-        tenant: str = DEFAULT_TENANT,
-        project: str = DEFAULT_PROJECT,
-    ) -> Iterator[str]:
-        """Replay a session's journal in append order."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT line FROM journal WHERE session = ? AND tenant = ?"
-                " AND project = ? ORDER BY seq",
-                (session, tenant, project),
-            ).fetchall()
-        for row in rows:
-            yield row["line"]
-
-    def journal_size(
-        self,
-        session: str,
-        *,
-        tenant: str = DEFAULT_TENANT,
-        project: str = DEFAULT_PROJECT,
-    ) -> int:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM journal WHERE session = ?"
-                " AND tenant = ? AND project = ?",
-                (session, tenant, project),
-            ).fetchone()
-        return int(row["n"])
-
-    def journal_clear(
-        self,
-        session: str,
-        *,
-        tenant: str = DEFAULT_TENANT,
-        project: str = DEFAULT_PROJECT,
-    ) -> None:
-        """Drop a session's journal (after its snapshot persisted)."""
-        with self._lock, self._conn:
-            self._conn.execute(
-                "DELETE FROM journal WHERE session = ? AND tenant = ?"
-                " AND project = ?",
-                (session, tenant, project),
-            )
-
-    def journal_namespaces(self) -> list[tuple[str, str]]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT DISTINCT tenant, project FROM journal"
-                " ORDER BY tenant, project"
-            ).fetchall()
-        return [(row["tenant"], row["project"]) for row in rows]
-
-    def journal_sessions(
-        self,
-        *,
-        tenant: str = DEFAULT_TENANT,
-        project: str = DEFAULT_PROJECT,
-    ) -> list[str]:
-        """Session names with journal records in one namespace."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT DISTINCT session FROM journal WHERE tenant = ?"
-                " AND project = ? ORDER BY session",
-                (tenant, project),
-            ).fetchall()
-        return [row["session"] for row in rows]
+        runs = {(row["tenant"], row["project"]) for row in rows}
+        return sorted(runs.union(self._journal_files()))
 
 
 def open_store(

@@ -232,6 +232,8 @@ class LttngBatchParser:
         self._rests: dict[str, tuple] | None = {}
         #: memo hits since the memo last cleared.
         self._rest_hits = 0
+        #: (pid, name) -> entries awaiting their exits, oldest first; a
+        #: key leaves the table when its last entry pairs.
         self._pending: dict[tuple[int, str], list] = {}
         self.orphan_exits = 0
         #: indices, within the last parsed chunk's lines, of the lines
@@ -368,6 +370,8 @@ class LttngBatchParser:
                         queue.append(record)
                 elif queue:
                     entry_ns, comm, fields = queue.pop(0)
+                    if not queue:
+                        del pending[key]
                     append((key[1], fields, said[2], said[3], key[0], comm or said[1], entry_ns))
                 else:
                     self.orphan_exits += 1
@@ -431,6 +435,8 @@ class LttngBatchParser:
                     self.orphan_exits += 1
                     continue
                 entry_ns, entry_comm, fields = queue.pop(0)
+                if not queue:
+                    del pending[key]
                 ret = ints[xret]
                 append(
                     (
@@ -486,6 +492,8 @@ class LttngBatchParser:
                 self.orphan_exits += 1
                 continue
             entry_ns, entry_comm, args = queue.pop(0)
+            if not queue:
+                del pending[key]
             rows.append(pair_row(name, args, fields, pid, entry_comm or comm, entry_ns))
         self.malformed_positions = bad
         return rows

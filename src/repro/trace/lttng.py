@@ -66,7 +66,7 @@ _CONTEXT_KEYS = ("pid", "procname", "cpu_id")
 #: blocks, the quoted procname, the exit ``ret`` value — is validated by
 #: the regex engine in one C-level match, so the Python side only
 #: converts captured strings.  Lines that deviate (escaped procnames,
-#: extra context fields, leading-zero retvals, multi-digit hours, …)
+#: extra context fields, leading-zero pids or retvals, multi-digit hours, …)
 #: simply fail to match and take the permissive `_LINE_RE` path, so the
 #: fast path can never *disagree* with the slow one — it can only
 #: decline.
@@ -84,8 +84,11 @@ _CONTEXT = r": \{ cpu_id = \d+ \}, \{ procname = \"([^\"\\{}]*)\", pid = %s \}, 
 _RET = r"\{ ret = (-?(?:0|[1-9]\d*)) \}"
 #: The host, then the event's kind and name.
 _EVENT = r"\S+ syscall_"
-_WRITER_EXIT = r"exit_(\w+)" + _CONTEXT % r"(\d+)" + _RET
-_WRITER_ENTRY = r"entry_(\w+)" + _CONTEXT % r"(\d+)" + r"\{ (.*) \}"
+#: A pid, written as ``_RET`` writes a number: ``07`` is left to the
+#: permissive grammar, which rejects it, whatever else the line holds.
+_PID = r"(0|[1-9]\d*)"
+_WRITER_EXIT = r"exit_(\w+)" + _CONTEXT % _PID + _RET
+_WRITER_ENTRY = r"entry_(\w+)" + _CONTEXT % _PID + r"\{ (.*) \}"
 #: What a writer line says after its stamp.
 #: Groups: exit: 1 name 2 comm 3 pid 4 ret | entry: 5 name 6 comm 7 pid 8 body
 _WRITER_REST = f"{_EVENT}(?:{_WRITER_EXIT}|{_WRITER_ENTRY})"

@@ -53,6 +53,16 @@ def test_failed_open_can_be_dropped():
     assert not flt.admit(ev("open", {"pathname": "/mnt/test/missing"}, -2, 2))
 
 
+def test_an_open_and_a_dup_onto_fd_0_are_tracked():
+    """fd 0 is a success: only a negative return is a failed open or dup."""
+    flt = TraceFilter.for_mount_point("/mnt/test", keep_failed_opens=False)
+    assert flt.admit(ev("open", {"pathname": "/mnt/test/f", "flags": 0}, 0, pid=1))
+    assert flt.admit(ev("read", {"fd": 0, "count": 1}, 1, pid=1))
+    assert flt.admit(ev("open", {"pathname": "/mnt/test/g", "flags": 0}, 3, pid=2))
+    assert flt.admit(ev("dup", {"fildes": 3}, 0, pid=2))
+    assert flt.admit(ev("read", {"fd": 0, "count": 1}, 1, pid=2))
+
+
 def test_fd_tracking_is_per_pid(flt):
     assert flt.admit(ev("open", {"pathname": "/mnt/test/f", "flags": 0}, 3, pid=1))
     assert not flt.admit(ev("read", {"fd": 3, "count": 1}, 1, pid=2))

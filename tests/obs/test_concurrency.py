@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import threading
@@ -11,22 +12,22 @@ import pytest
 from repro.core.analyzer import IOCov
 from repro.obs.client import fetch_json, push_file
 from repro.obs.server import make_server
-from repro.obs.sharded import SHARD_JOURNAL
+from repro.obs.journal import JOURNAL_FILE
 from tests.obs.conftest import MINI_MOUNT
 
 N_TENANTS = 4
 
 
-@pytest.fixture
-def server(tmp_path):
+@contextlib.contextmanager
+def _running(store_path, **kwargs):
     srv, recovered = make_server(
         "127.0.0.1",
         0,
         fmt="lttng",
         mount_point=MINI_MOUNT,
         suite_name="mini",
-        store_path=str(tmp_path / "shards") + "/",
-        workers=N_TENANTS * 2,
+        store_path=store_path,
+        **kwargs,
     )
     assert recovered == 0
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
@@ -36,6 +37,18 @@ def server(tmp_path):
         srv.drain_and_stop(snapshot=False)
     srv.server_close()
     thread.join(timeout=10)
+
+
+@pytest.fixture
+def server(tmp_path):
+    with _running(str(tmp_path / "shards") + "/", workers=N_TENANTS * 2) as srv:
+        yield srv
+
+
+@pytest.fixture
+def single_file_server(tmp_path):
+    with _running(str(tmp_path / "runs.sqlite")) as srv:
+        yield srv
 
 
 def _url(server) -> str:
@@ -96,8 +109,7 @@ def test_concurrent_pushes_one_tenant_serialized(server, mini_trace,
     assert session["parse_errors"] == 0
 
 
-def test_push_costs_one_journal_fsync(server, mini_trace, monkeypatch):
-    """One acknowledged push is one journal fsync, however many lines."""
+def _one_fsync_per_push(server, mini_trace, monkeypatch):
     syncs = []
     real_fsync = os.fsync
     monkeypatch.setattr(os, "fsync", lambda fd: syncs.append(fd) or real_fsync(fd))
@@ -107,18 +119,28 @@ def test_push_costs_one_journal_fsync(server, mini_trace, monkeypatch):
     assert len(syncs) == 1
 
 
-def test_torn_final_group_replay(tmp_path, mini_trace):
-    """Recovery replays every intact journal record, drops the torn tail."""
-    store_root = str(tmp_path / "shards")
+def test_push_costs_one_journal_fsync(server, mini_trace, monkeypatch):
+    """One acknowledged push is one journal fsync, however many lines."""
+    _one_fsync_per_push(server, mini_trace, monkeypatch)
+
+
+def test_push_costs_one_journal_fsync_on_a_single_file_store(
+    single_file_server, mini_trace, monkeypatch
+):
+    """The single-file store journals as a shard does: one fsync a push."""
+    _one_fsync_per_push(single_file_server, mini_trace, monkeypatch)
+
+
+def _torn_final_group_replay(store_path, journal_root, mini_trace):
     srv, recovered = make_server(
         "127.0.0.1", 0, fmt="lttng", mount_point=MINI_MOUNT,
-        suite_name="mini", store_path=store_root + "/",
+        suite_name="mini", store_path=store_path,
     )
     assert recovered == 0
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     push_file(_url(srv), mini_trace, tenant="acme")
-    # Crash: no drain, no snapshot; the shard journal is the survivor.
+    # Crash: no drain, no snapshot; the namespace's journal is the survivor.
     for session in srv.tenants.sessions():
         session.close()
     srv.shutdown()
@@ -126,7 +148,7 @@ def test_torn_final_group_replay(tmp_path, mini_trace):
     srv.server_close()
     srv.store.close()
 
-    journal_path = os.path.join(store_root, "acme", "default", SHARD_JOURNAL)
+    journal_path = os.path.join(journal_root, "acme", "default", JOURNAL_FILE)
     with open(mini_trace) as handle:
         total_lines = sum(1 for _ in handle)
     # Tear off the final group: a truncated frame where fsync died.
@@ -135,7 +157,7 @@ def test_torn_final_group_replay(tmp_path, mini_trace):
 
     srv2, recovered = make_server(
         "127.0.0.1", 0, fmt="lttng", mount_point=MINI_MOUNT,
-        suite_name="mini", store_path=store_root + "/",
+        suite_name="mini", store_path=store_path,
     )
     thread2 = threading.Thread(target=srv2.serve_forever, daemon=True)
     thread2.start()
@@ -153,3 +175,15 @@ def test_torn_final_group_replay(tmp_path, mini_trace):
         srv2.drain_and_stop(snapshot=False)
         srv2.server_close()
         thread2.join(timeout=10)
+
+
+def test_torn_final_group_replay(tmp_path, mini_trace):
+    """Recovery replays every intact journal record, drops the torn tail."""
+    store_root = str(tmp_path / "shards")
+    _torn_final_group_replay(store_root + "/", store_root, mini_trace)
+
+
+def test_torn_final_group_replay_on_a_single_file_store(tmp_path, mini_trace):
+    """The same recovery beside a single-file store: ``<db>.journal/``."""
+    store_path = str(tmp_path / "runs.sqlite")
+    _torn_final_group_replay(store_path, store_path + ".journal", mini_trace)

@@ -7,11 +7,10 @@ import struct
 
 import pytest
 
+from repro.obs.journal import BatchedJournal
 from repro.obs.sharded import (
     SHARD_DB,
-    SHARD_JOURNAL,
     SHARD_MARKER,
-    BatchedJournal,
     ShardedRunStore,
     migrate_single_to_sharded,
 )

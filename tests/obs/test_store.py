@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import sqlite3
+import struct
 
 import pytest
 
-from repro.obs.store import RunStore, StoreVersionError
+from repro.obs.store import RunStore, StoreVersionError, open_store
 
 
 @pytest.fixture
@@ -215,4 +217,108 @@ def test_v1_file_migrates_to_namespaced_v2(tmp_path, mini_report):
         "SELECT value FROM schema_meta WHERE key = 'schema_version'"
     ).fetchone()[0]
     conn.close()
-    assert version == "2"
+    assert version == "3"
+
+
+#: What a v2 file adds to the v3 schema: the journal table, and its version.
+_V2_JOURNAL = """
+CREATE TABLE journal (
+    seq     INTEGER PRIMARY KEY AUTOINCREMENT,
+    session TEXT NOT NULL,
+    tenant  TEXT NOT NULL DEFAULT 'default',
+    project TEXT NOT NULL DEFAULT 'default',
+    line    TEXT NOT NULL
+);
+CREATE INDEX journal_session ON journal (tenant, project, session, seq);
+UPDATE schema_meta SET value = '2' WHERE key = 'schema_version';
+"""
+
+#: (session, tenant, project, line) in append order, sessions interleaved.
+_V2_ROWS = [
+    ("live", "default", "default", "d1"),
+    ("other", "default", "default", "o1"),
+    ("live", "acme", "web", "a1"),
+    ("live", "default", "default", "d2"),
+    ("other", "acme", "web", "b1"),
+    ("live", "acme", "web", "a2"),
+]
+
+
+def _journal_by_key(store):
+    return {
+        (tenant, project, session): list(
+            store.journal_lines(session, tenant=tenant, project=project)
+        )
+        for tenant, project in store.journal_namespaces()
+        for session in store.journal_sessions(tenant=tenant, project=project)
+    }
+
+
+def test_v2_journal_rows_move_to_journal_files_exactly_once(tmp_path, monkeypatch):
+    """A v2 file's journal replays the same lines after open, and a move
+    cut short before the table's drop is redone, not doubled."""
+    path = str(tmp_path / "v2.sqlite")
+    RunStore(path).close()
+    conn = sqlite3.connect(path)
+    conn.executescript(_V2_JOURNAL)
+    conn.executemany(
+        "INSERT INTO journal (session, tenant, project, line) VALUES (?, ?, ?, ?)",
+        _V2_ROWS,
+    )
+    conn.commit()
+    conn.close()
+    want = {}
+    for session, tenant, project, line in _V2_ROWS:
+        want.setdefault((tenant, project, session), []).append(line)
+
+    move = RunStore._move_journal_table
+
+    def move_then_fail(self, root):
+        move(self, root)
+        raise OSError("stopped between the journal files and the drop")
+
+    monkeypatch.setattr(RunStore, "_move_journal_table", move_then_fail)
+    with pytest.raises(OSError):
+        RunStore(path)
+    assert os.path.exists(os.path.join(path + ".journal", "acme", "web", "journal.rjl"))
+    monkeypatch.undo()
+
+    for _ in range(2):  # the move redone, then a plain v3 open
+        with RunStore(path) as store:
+            assert _journal_by_key(store) == want
+            assert store.journal_size("live", tenant="acme", project="web") == 2
+    conn = sqlite3.connect(path)
+    version = conn.execute(
+        "SELECT value FROM schema_meta WHERE key = 'schema_version'"
+    ).fetchone()[0]
+    tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master")}
+    conn.close()
+    assert version == "3"
+    assert "journal" not in tables
+
+
+@pytest.mark.parametrize("name", ["runs.sqlite", "shards/"])
+def test_a_reader_leaves_a_live_journal_untouched(tmp_path, mini_report, name):
+    """Only the journal's writer may cut a torn tail: a store opened
+    beside a running daemon, to read runs, leaves ``journal.rjl`` as is."""
+    path = os.path.join(str(tmp_path), name)
+    root = path if name.endswith("/") else path + ".journal"
+    journal_path = os.path.join(root, "default", "default", "journal.rjl")
+    writer = open_store(path)
+    try:
+        writer.save_report(mini_report)
+        writer.journal_append("live", ["l1", "l2"])
+        writer.journal_sync()
+        # The writer's buffer has flushed half a frame when the reader opens.
+        with open(journal_path, "ab") as fh:
+            fh.write(struct.pack(">II", 64, 0) + b"half a frame")
+        with open(journal_path, "rb") as fh:
+            before = fh.read()
+        with open_store(path) as reader:
+            assert reader.resolve("latest") == 1
+            assert reader.namespaces() == [("default", "default")]
+        with open(journal_path, "rb") as fh:
+            assert fh.read() == before
+    finally:
+        writer.close()
+

@@ -534,3 +534,138 @@ def test_a_fill_with_few_hits_switches_the_memo_off(monkeypatch):
     ]
     assert (rows, parser.stats()) == _per_line_reference("".join(chunks))
     assert len(rows) == 9 + 6 + 6
+
+
+# -- many processes, and the paths a chunk takes -----------------------------------
+
+
+@given(
+    events=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=40),  # pid, one of many
+            st.sampled_from(["read", "write"]),
+            st.integers(min_value=0, max_value=3),  # exit delay, in entries
+        ),
+        min_size=1, max_size=40,
+    ),
+    comm=st.sampled_from(["tester", 'say "hi"']),  # the second goes line by line
+    memo=st.booleans(),
+    dropped=st.lists(st.integers(min_value=0, max_value=80), max_size=2),
+    cuts=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_the_pending_table_holds_only_waiting_entries(events, comm, memo, dropped, cuts):
+    """Many pids, interleaved: a key leaves the table when its last entry pairs.
+
+    After every chunk, on the memo path, the full grammar and the
+    per-line path alike, each key of the table holds an entry awaiting
+    its exit; rows and stats equal the per-line parse.
+    """
+    writer = LttngWriter()
+    slots = []
+    for index, (pid, name, delay) in enumerate(events):
+        event = make_event(name, {"fd": 3, "count": index % 2}, 1, 0,
+                           pid=1000 + pid, comm=comm, timestamp=index * 10)
+        entry, exit_line = writer.format_event(event)
+        slots.append(((index, 0, index), entry))
+        slots.append(((index + delay, 1, index), exit_line))
+    lines = [line + "\n" for _, line in sorted(slots)]
+    for position in dropped:  # orphan exits and entries that never pair
+        if position < len(lines):
+            del lines[position]
+    parser = LttngBatchParser()
+    if not memo:
+        parser._rests = None
+    rows = []
+    index = 0
+    cut_iter = itertools.cycle(cuts)
+    while index < len(lines):
+        step = next(cut_iter)
+        rows.extend(parser.parse_chunk("".join(lines[index : index + step])))
+        index += step
+        assert all(parser._pending.values()), parser._pending
+    assert (rows, parser.stats()) == _per_line_reference("".join(lines))
+
+
+def test_a_leading_zero_pid_means_the_same_to_both_grammars():
+    """``pid = 07`` is malformed, whether or not the comm is escaped."""
+    for comm in ("tester", 'say "hi"'):
+        lines = [
+            _babeltrace_line(10, 1, "sim", "entry", "read", 0, comm, "07", "fd = 3, count = 1"),
+            _babeltrace_line(20, 1, "sim", "exit", "read", 0, comm, "07", "ret = 1"),
+        ]
+        per_line = LttngParser()
+        assert [per_line.parse_line(line) for line in lines] == [None, None], comm
+        assert per_line.malformed_lines == 2
+        for memo in (True, False):
+            parser = LttngBatchParser()
+            if not memo:
+                parser._rests = None
+            assert parser.parse_chunk("".join(line + "\n" for line in lines)) == [], comm
+            assert parser.malformed_lines == 2
+
+
+def test_a_writer_shaped_chunk_never_goes_line_by_line(monkeypatch):
+    """The writer's own output takes the memo path, or the full grammar
+    once the memo is off; neither declines it to the per-line parser."""
+    events = [
+        make_event("read", {"fd": 3, "count": i % 3}, 1, pid=1 + i % 4, timestamp=i * 10)
+        for i in range(40)
+    ]
+    adjacent = LttngWriter().dumps(events)
+    # The same events with each exit written after the next entry.
+    lines = adjacent.splitlines(keepends=True)
+    for i in range(1, len(lines) - 2, 4):
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    for text in (adjacent, "".join(lines)):
+        for memo in (True, False):
+            parser = LttngBatchParser()
+            if not memo:
+                parser._rests = None
+            monkeypatch.setattr(parser, "_consume_lines",
+                                lambda lines: pytest.fail("a writer chunk went line by line"))
+            rows = parser.parse_chunk(text)
+            assert (rows, parser.stats()) == _per_line_reference(text)
+            assert len(rows) == 40
+
+
+def test_hits_before_a_decline_count_toward_the_switch(monkeypatch):
+    """A declined chunk keeps the hits it counted, as it keeps its misses."""
+    monkeypatch.setattr(batch, "_REST_MEMO_CAP", 4)
+    writer = LttngWriter()
+
+    def events(pids, start):
+        return [make_event("read", {"fd": 3, "count": pid}, pid, pid=pid,
+                           timestamp=(start + i) * 1_000)
+                for i, pid in enumerate(pids)]
+
+    # Two misses then four hits, then a line with no stamp: the chunk
+    # declines and goes line by line.
+    declined = writer.dumps(events([1, 1, 1], 0)) + "not an lttng line\n"
+    # Two new shapes: the fill ends on the second one's entry with 4
+    # hits for 4 misses, so the memo clears and stays on.
+    fresh = writer.dumps(events([2, 3], 10))
+    parser = LttngBatchParser()
+    rows = parser.parse_chunk(declined) + parser.parse_chunk(fresh)
+    assert parser.malformed_positions == []
+    assert parser._rests is not None
+    assert (rows, parser.stats()) == _per_line_reference(declined + fresh)
+
+
+def test_an_exit_names_the_process_when_its_entry_has_no_comm():
+    """An entry with an empty comm takes its exit's, paired at once or later."""
+    def line(ns, kind, comm, payload):
+        return _babeltrace_line(ns, 1, "sim", kind, "read", 0, comm, 7, payload) + "\n"
+
+    entry = lambda ns: line(ns, "entry", "", "fd = 3, count = 1")
+    exit_ = lambda ns: line(ns, "exit", "fsx", "ret = 1")
+    # Adjacent twice (the second pair is a memo hit), then delayed.
+    text = "".join([entry(10), exit_(20), entry(30), exit_(40),
+                    entry(50), entry(60), exit_(70), exit_(80)])
+    want = _per_line_reference(text)
+    assert [row[5] for row in want[0]] == ["fsx"] * 4
+    for memo in (True, False):
+        parser = LttngBatchParser()
+        if not memo:
+            parser._rests = None
+        assert (parser.parse_chunk(text), parser.stats()) == want
