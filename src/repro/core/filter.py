@@ -12,7 +12,8 @@ Path-carrying syscalls are matched directly.  Fd-carrying syscalls
 tracks the fd table: an ``open``-family success whose path matched
 registers its returned fd; subsequent fd-based events pass the filter
 while that fd is live; ``close`` retires it.  This mirrors how any real
-trace consumer must resolve fds to decide relevance.
+trace consumer must resolve fds to decide relevance.  A pid has an fd
+table only while it holds a tracked fd.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ _PATH_KEYS = ("pathname", "path", "filename", "oldpath", "linkpath")
 #: Events with neither path nor fd (sync covers the whole system).
 _GLOBAL_EVENTS = frozenset({"sync"})
 
+#: The fd-table steps :meth:`TraceFilter.decide` returns, as ``(op, fd,
+#: new)``: is *fd* tracked; track *fd*; retire a tracked *fd*; track
+#: *new* (when >= 0) as a duplicate of a tracked *fd*.
+_HOLDS, _ADD, _DISCARD, _DUP = range(4)
+
 
 class TraceFilter:
     """Keeps events that touch the tester's mount point.
@@ -46,6 +52,12 @@ class TraceFilter:
         keep_global: whether path-less, fd-less events (sync) pass.
         keep_failed_opens: a failed open *with a matching path* is still
             a relevant input/output record; default True.
+
+    Each event is decided in two parts: :meth:`decide` reads the event
+    alone and returns a fixed verdict or one step on the fd table of the
+    pid that issued it, and :meth:`apply` runs that step.
+    :meth:`admit_record` does both; a consumer that meets the same event
+    many times may decide it once and apply its step per event.
     """
 
     #: Cap on the path -> in-scope decision memo (paths repeat heavily).
@@ -103,10 +115,19 @@ class TraceFilter:
         point lets them skip materializing a :class:`SyscallEvent`
         per record on the hot path.
         """
-        fds = self._live_fds.get(pid)
-        if fds is None:
-            fds = self._live_fds[pid] = set()
+        step = self.decide(name, args, retval)
+        if step.__class__ is tuple:
+            return self.apply(step, pid)
+        return step
 
+    def decide(self, name: str, args, retval: int):
+        """What one event does, read from the event alone.
+
+        Returns a fixed verdict, or an ``(op, fd, new)`` step for
+        :meth:`apply` to run on the issuing pid's fd table (see
+        :data:`_HOLDS`).  Reads no fd table and changes none, so events
+        that agree on name, args and retval get the same answer.
+        """
         path_arg = _OPEN_LIKE.get(name)
         if path_arg is not None:
             path = args.get(path_arg)
@@ -115,28 +136,20 @@ class TraceFilter:
                 # to scope by, so it cannot be attributed away from the
                 # tester; keep it like any other failed open.
                 return self.keep_failed_opens
-            relevant = isinstance(path, str) and self.path_in_scope(path)
-            if relevant and retval >= 0:
-                fds.add(retval)
-            if relevant and retval < 0:
+            if not (isinstance(path, str) and self.path_in_scope(path)):
+                return False
+            if retval < 0:
                 return self.keep_failed_opens
-            return relevant
+            return (_ADD, retval, None)
 
         if name == "close":
             fd = args.get("fd")
-            if isinstance(fd, int) and fd in fds:
-                fds.discard(fd)
-                return True
-            return False
+            return (_DISCARD, fd, None) if isinstance(fd, int) else False
 
         if name in ("dup", "dup2"):
             # A duplicate of a tracked fd is itself tracked.
             source = args.get("fildes" if name == "dup" else "oldfd")
-            if isinstance(source, int) and source in fds:
-                if retval >= 0:
-                    fds.add(retval)
-                return True
-            return False
+            return (_DUP, source, retval) if isinstance(source, int) else False
 
         # chdir-style: path argument under other names.
         for key in _PATH_KEYS:
@@ -147,11 +160,39 @@ class TraceFilter:
         for key in _FD_ARGS:
             fd = args.get(key)
             if isinstance(fd, int):
-                return fd in fds
+                return (_HOLDS, fd, None)
 
         if name in _GLOBAL_EVENTS:
             return self.keep_global
         return False
+
+    def apply(self, step: tuple, pid: int) -> bool:
+        """Run a :meth:`decide` step on *pid*'s fd table; the verdict.
+
+        A pid has a set only while it tracks an fd: its first tracked
+        open creates the set, and the close that empties it drops it.
+        """
+        op, fd, new = step
+        live = self._live_fds
+        fds = live.get(pid)
+        if op == _HOLDS:
+            return fds is not None and fd in fds
+        if op == _ADD:
+            if fds is None:
+                live[pid] = {fd}
+            else:
+                fds.add(fd)
+            return True
+        if fds is None or fd not in fds:
+            return False
+        if op == _DISCARD:
+            if len(fds) == 1:
+                del live[pid]
+            else:
+                fds.discard(fd)
+        elif new >= 0:  # _DUP
+            fds.add(new)
+        return True
 
     def filter(self, events: Iterable[SyscallEvent]) -> Iterator[SyscallEvent]:
         """Yield in-scope events; resets fd state first."""
@@ -179,6 +220,12 @@ class AcceptAllFilter:
         return True
 
     def admit_record(self, name: str, args, retval: int, pid: int) -> bool:
+        return True
+
+    def decide(self, name: str, args, retval: int) -> bool:
+        return True
+
+    def apply(self, step: tuple, pid: int) -> bool:
         return True
 
     def reset(self) -> None:

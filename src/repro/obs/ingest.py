@@ -186,14 +186,14 @@ class IngestSession:
                 n_events = len(item)
             else:
                 base = self.lines_received
-                rows = self.parser.parse_chunk(_chunk_text(item))
+                batch = self.parser.parse_batch(_chunk_text(item))
                 n_lines = len(item)
                 self.lines_received += n_lines
                 for index in self.parser.malformed_positions:
                     malformed.append(Quarantined(base + index + 1, item[index]))
-                n_events = len(rows)
-                if rows:
-                    self.iocov.consume_batch(EventBatch.from_rows(rows))
+                n_events = len(batch)
+                if n_events:
+                    self.iocov.consume_batch(batch)
             self.events_counted += n_events
             if malformed:
                 space = QUARANTINE_CAP - len(self.quarantine)

@@ -33,7 +33,7 @@ import os
 import struct
 import threading
 import zlib
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 #: A namespace's journal file name, under ``<root>/<tenant>/<project>/``.
 JOURNAL_FILE = "journal.rjl"
@@ -47,22 +47,25 @@ def _frame(session: str, line: str) -> bytes:
     return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def _iter_frames(blob: bytes) -> Iterator[tuple[str, str, int]]:
+def _read_frames(fh: BinaryIO, limit: int) -> Iterator[tuple[str, str, int]]:
     """Yield ``(session, line, end_offset)`` for every intact frame.
 
+    Reads *fh* from where it stands one frame at a time, header then
+    payload, and never past *limit* bytes, so memory holds one frame.
     Stops silently at the first torn or corrupt frame — by the group
     commit contract anything past that point was never acknowledged.
     """
     offset = 0
-    total = len(blob)
-    while offset + _FRAME_HEADER.size <= total:
-        length, crc = _FRAME_HEADER.unpack_from(blob, offset)
-        start = offset + _FRAME_HEADER.size
-        end = start + length
-        if length > _MAX_FRAME or end > total:
+    while offset + _FRAME_HEADER.size <= limit:
+        header = fh.read(_FRAME_HEADER.size)
+        if len(header) < _FRAME_HEADER.size:
             return
-        payload = blob[start:end]
-        if zlib.crc32(payload) != crc:
+        length, crc = _FRAME_HEADER.unpack(header)
+        end = offset + _FRAME_HEADER.size + length
+        if length > _MAX_FRAME or end > limit:
+            return
+        payload = fh.read(length)
+        if len(payload) < length or zlib.crc32(payload) != crc:
             return
         session_bytes, sep, line_bytes = payload.partition(b"\x00")
         if not sep:
@@ -93,15 +96,14 @@ class BatchedJournal:
 
     def _scan(self) -> int:
         """Count intact records per session; returns the valid byte length."""
+        valid_end = 0
         try:
             with open(self.path, "rb") as fh:
-                blob = fh.read()
+                for session, _line, end in _read_frames(fh, os.fstat(fh.fileno()).st_size):
+                    self._counts[session] = self._counts.get(session, 0) + 1
+                    valid_end = end
         except FileNotFoundError:
-            return 0
-        valid_end = 0
-        for session, _line, end in _iter_frames(blob):
-            self._counts[session] = self._counts.get(session, 0) + 1
-            valid_end = end
+            pass
         return valid_end
 
     def append(self, session: str, lines: Iterable[str]) -> None:
@@ -127,17 +129,22 @@ class BatchedJournal:
                 self._commit()
 
     def lines(self, session: str) -> Iterator[str]:
-        """Replay one session's records in append order."""
+        """Replay one session's records in append order.
+
+        Reads the journal as it stood when the replay began, one frame
+        at a time: records appended meanwhile are not replayed.
+        """
         with self._lock:
             self._fh.flush()  # make our own buffered writes readable
             try:
-                with open(self.path, "rb") as fh:
-                    blob = fh.read()
+                fh = open(self.path, "rb")
             except FileNotFoundError:
-                blob = b""
-        for rec_session, line, _end in _iter_frames(blob):
-            if rec_session == session:
-                yield line
+                return
+            limit = self._fh.tell()
+        with fh:
+            for rec_session, line, _end in _read_frames(fh, limit):
+                if rec_session == session:
+                    yield line
 
     def size(self, session: str) -> int:
         with self._lock:
@@ -153,17 +160,13 @@ class BatchedJournal:
             if not self._counts.get(session):
                 return
             self._fh.flush()
-            with open(self.path, "rb") as fh:
-                blob = fh.read()
-            keep = b"".join(
-                _frame(rec_session, line)
-                for rec_session, line, _end in _iter_frames(blob)
-                if rec_session != session
-            )
+            limit = self._fh.tell()
             self._fh.close()
             tmp = self.path + ".compact"
-            with open(tmp, "wb") as fh:
-                fh.write(keep)
+            with open(self.path, "rb") as src, open(tmp, "wb") as fh:
+                for rec_session, line, _end in _read_frames(src, limit):
+                    if rec_session != session:
+                        fh.write(_frame(rec_session, line))
                 fh.flush()
                 # Compaction must be atomic against appends: the lock
                 # stays held while the replacement file is made durable.

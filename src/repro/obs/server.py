@@ -289,6 +289,11 @@ class ObsServer(HTTPServer):
     hands accepted connections to a bounded queue serviced by
     ``workers`` threads.  A full queue answers ``503`` + ``Retry-After``
     immediately, bounding both memory and client latency.
+
+    Given a *store_lock* (as :func:`make_server` passes the lock it took
+    for the store it opened), the server owns *store*:
+    :meth:`server_close` closes it, then releases the lock.  A store
+    passed without a lock stays the caller's.
     """
 
     allow_reuse_address = True
@@ -387,6 +392,10 @@ class ObsServer(HTTPServer):
         self._stop_workers()
         sys.setswitchinterval(self._old_switch_interval)
         if self._store_lock is not None:
+            # make_server opened the store under this lock: close it
+            # before another daemon may take the lock and open it.
+            if self.store is not None:
+                self.store.close()
             self._store_lock.release()
             self._store_lock = None
 
@@ -745,45 +754,49 @@ def make_server(
     if store_path:
         store_lock = _StoreLock(store_path)
         store_lock.acquire()
-        try:
+    try:
+        if store_path:
             store = open_store(store_path, backend=backend)
-        except BaseException:
+        session_kwargs: dict[str, Any] = {}
+        if error_budget is not None:
+            session_kwargs["error_budget"] = error_budget
+        tenants = TenantManager(
+            fmt=fmt,
+            mount_point=mount_point,
+            suite_name=suite_name,
+            store=store,
+            default_tenant=tenant,
+            default_project=project,
+            session_kwargs=session_kwargs,
+        )
+        recovered = 0
+        if store is not None:
+            namespaces = store.journal_namespaces()
+            default_ns = tenants.default
+            if default_ns not in namespaces:
+                namespaces.append(default_ns)
+            for ns_tenant, ns_project in namespaces:
+                session = tenants.session(ns_tenant, ns_project)
+                if recover:
+                    recovered += session.recover()
+                else:
+                    store.journal_clear(
+                        session.journal_session,
+                        tenant=ns_tenant, project=ns_project,
+                    )
+        server = ObsServer(
+            (host, port),
+            tenants=tenants,
+            store=store,
+            store_lock=store_lock,
+            workers=workers,
+            conn_queue=conn_queue,
+            conn_timeout=conn_timeout,
+        )
+    except BaseException:
+        if store is not None:
+            store.close()
+        if store_lock is not None:
             store_lock.release()
-            raise
-    session_kwargs: dict[str, Any] = {}
-    if error_budget is not None:
-        session_kwargs["error_budget"] = error_budget
-    tenants = TenantManager(
-        fmt=fmt,
-        mount_point=mount_point,
-        suite_name=suite_name,
-        store=store,
-        default_tenant=tenant,
-        default_project=project,
-        session_kwargs=session_kwargs,
-    )
-    recovered = 0
-    if store is not None:
-        namespaces = store.journal_namespaces()
-        default_ns = tenants.default
-        if default_ns not in namespaces:
-            namespaces.append(default_ns)
-        for ns_tenant, ns_project in namespaces:
-            session = tenants.session(ns_tenant, ns_project)
-            if recover:
-                recovered += session.recover()
-            else:
-                store.journal_clear(
-                    session.journal_session,
-                    tenant=ns_tenant, project=ns_project,
-                )
-    server = ObsServer(
-        (host, port),
-        tenants=tenants,
-        store=store,
-        store_lock=store_lock,
-        workers=workers,
-        conn_queue=conn_queue,
-        conn_timeout=conn_timeout,
-    )
+        raise
     return server, recovered

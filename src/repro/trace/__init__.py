@@ -7,7 +7,8 @@ Capture paths into the IOCov analyzer:
 * text traces, one batch parser per format (:func:`make_batch_parser`:
   :class:`LttngBatchParser`, :class:`StraceBatchParser`,
   :class:`SyzkallerBatchParser`) parsing chunk at a time into
-  :class:`EventBatch` rows.  It is the only chunk parser: file reads,
+  :class:`EventBatch` rows, or templates on the LTTng line-memo path.
+  It is the only chunk parser: file reads,
   ``.rbt`` conversion and live ingest all run it, and it reports the
   positions of malformed lines itself;
 * the per-line grammars (:class:`LttngParser`, :class:`StraceParser`,

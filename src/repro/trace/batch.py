@@ -5,10 +5,12 @@ object per record, which caps text ingest nearly an order of magnitude
 below the analyzer's counting throughput.  This module closes that gap
 by working on **event batches**:
 
-* :class:`EventBatch` holds a block of parsed events either as compact
-  rows (one tuple per event — what the text parsers produce) or as
-  parallel columns (what the binary ``.rbt`` decoder produces, see
-  :mod:`repro.trace.binary`).  Both views iterate identically.
+* :class:`EventBatch` holds a block of parsed events as compact rows
+  (one tuple per event), as templates (each repeated event once, plus
+  one template id and one timestamp per event — what the LTTng parser's
+  line memo produces), or as parallel columns (what the binary ``.rbt``
+  decoder produces, see :mod:`repro.trace.binary`).  All three iterate
+  identically, and their rows are read-only (:data:`Row`).
 * :class:`LttngBatchParser` / :class:`StraceBatchParser` /
   :class:`SyzkallerBatchParser` parse whole text chunks with one
   multiline ``findall`` over a strict precompiled grammar, falling back
@@ -33,13 +35,18 @@ instead of a :func:`~repro.trace.events.make_event` args copy.
 For LTTng, one ``findall`` splits a chunk into units (an entry line with
 the exit line right after it, or any other line) and cuts off each
 line's stamp.  What the text after a stamp says is memoized per parser,
-so a line a suite repeats is read once, and an entry followed by its
-own exit is one row that bypasses the pairing table.  The memo holds
-at most 1,024 rests and clears when full; a fill that ends with fewer
-hits than misses (a trace whose lines stop repeating) switches it off,
-and the parser reads the rest of its input with the full grammar, one
-``findall`` match per event, parsing each repeated field block once
-(see :meth:`~repro.trace.lttng.LttngParser.entry_fields`).
+so a line a suite repeats is read once.  An entry followed by its own
+exit bypasses the pairing table, and a chunk memo maps its two rests to
+one template of the chunk's batch, so a repeated event costs a lookup
+and two appends, and shares its template's args with its repeats (most
+events of a test suite's trace repeat one earlier in their chunk in
+everything but the timestamp).  The line memo holds at most 1,024 rests
+and clears when full, and the chunk memo with it; a fill that ends with
+fewer hits than misses (a trace whose lines stop repeating) switches it
+off, and the parser reads the rest of its input with the full grammar,
+one ``findall`` match per event, parsing each repeated field block once
+(see :meth:`~repro.trace.lttng.LttngParser.entry_fields`).  That path,
+the per-line path and the strace and syzkaller parsers hand out rows.
 """
 
 from __future__ import annotations
@@ -67,7 +74,10 @@ from repro.vfs.errors import ERRNO_BY_NAME
 #: Target text-chunk size for file batch readers (characters).
 DEFAULT_CHUNK_CHARS = 1 << 20
 
-#: One parsed event as the batch parsers carry it.
+#: One parsed event as the batch parsers carry it.  Rows are read-only:
+#: rows may share one args dict (the events of one template, and the
+#: LTTng parser's memoized fields across chunks), so no consumer may
+#: change a row's args; one that needs different args builds a new dict.
 Row = tuple  # (name, args, retval, errno, pid, comm, timestamp)
 
 _ROW_FIELDS = ("name", "args", "retval", "errno", "pid", "comm", "timestamp")
@@ -100,31 +110,51 @@ def make_parse_stats(
 class EventBatch:
     """A block of parsed syscall events.
 
-    Storage is one of two interchangeable forms:
+    Storage is one of three interchangeable forms:
 
     * **rows** — a list of ``(name, args, retval, errno, pid, comm,
-      timestamp)`` tuples.  The text batch parsers produce this: one
-      append per event, no object construction.
+      timestamp)`` tuples.  The per-line and full-grammar text paths
+      produce this: one append per event, no object construction.
+    * **templates** — what the LTTng line-memo path produces (see
+      :attr:`templated`): ``(name, args, retval, errno, pid, comm)``
+      tuples, each of the chunk's repeated events once (an event the
+      parser pairs through its pending table is a template of its own),
+      one template id per event in trace order, and one timestamp per
+      event.  Row *i* is ``templates[ids[i]]
+      + (stamps[i],)``, so the events of one template share its args
+      dict, and a consumer may do per template what it would do per
+      event (:meth:`repro.core.analyzer.IOCov.consume_batch`).
     * **columns** — parallel sequences per field (numeric fields as
       ``array('q')`` where they fit), with syscall args held as
       per-key columns.  The binary decoder produces this without any
       per-event Python work; argument dicts are materialized lazily
       the first time rows are requested.
+
+    Every form yields the same rows; rows are read-only (see :data:`Row`).
     """
 
-    __slots__ = ("_rows", "_cols", "_arg_cols")
+    __slots__ = ("_rows", "_cols", "_arg_cols", "templated")
 
-    def __init__(self, rows=None, cols=None, arg_cols=None) -> None:
+    def __init__(self, rows=None, cols=None, arg_cols=None, templated=None) -> None:
         self._rows = rows
         #: (names, argses, retvals, errnos, pids, comms, timestamps)
         self._cols = cols
         self._arg_cols = arg_cols
+        #: (templates, ids, stamps) of a templated batch, else None.
+        self.templated = templated
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows: list[Row]) -> "EventBatch":
         return cls(rows=rows)
+
+    @classmethod
+    def from_templates(
+        cls, templates: list[tuple], ids: list[int], stamps: list[int]
+    ) -> "EventBatch":
+        """Templated constructor: row *i* is ``templates[ids[i]] + (stamps[i],)``."""
+        return cls(templated=(templates, ids, stamps))
 
     @classmethod
     def from_columns(
@@ -146,6 +176,8 @@ class EventBatch:
     def __len__(self) -> int:
         if self._rows is not None:
             return len(self._rows)
+        if self.templated is not None:
+            return len(self.templated[1])
         return len(self._cols[0])
 
     def _materialize_args(self) -> list:
@@ -159,17 +191,17 @@ class EventBatch:
         return cols[1]
 
     def rows(self) -> list[Row]:
-        """The batch as row tuples (materialized once for columns)."""
+        """The batch as row tuples (materialized once for templates and columns)."""
         if self._rows is None:
-            names, _, retvals, errnos, pids, comms, timestamps = self._cols
-            self._rows = list(
-                zip(names, self._materialize_args(), retvals, errnos, pids, comms, timestamps)
-            )
+            self._rows = list(self.iter_rows())
         return self._rows
 
     def iter_rows(self) -> Iterator[Row]:
         if self._rows is not None:
             return iter(self._rows)
+        if self.templated is not None:
+            templates, ids, stamps = self.templated
+            return map(tuple.__add__, map(templates.__getitem__, ids), zip(stamps))
         names, _, retvals, errnos, pids, comms, timestamps = self._cols
         return zip(names, self._materialize_args(), retvals, errnos, pids, comms, timestamps)
 
@@ -263,20 +295,28 @@ class LttngBatchParser:
 
     # -- parsing -------------------------------------------------------------
 
-    def parse_chunk(self, chunk: str) -> list[Row]:
-        """Parse one newline-aligned text chunk into rows."""
+    def parse_batch(self, chunk: str) -> EventBatch:
+        """Parse one newline-aligned text chunk into a batch.
+
+        Templated on the memo path, rows on the other two.
+        """
         lines = _line_count(chunk)
-        rows = None
+        batch = None
         if self._rests is not None:
-            rows = self._consume_units(_UNIT_RE_M.findall(chunk), lines)
-        if rows is None and self._rests is None:
+            batch = self._consume_units(_UNIT_RE_M.findall(chunk), lines)
+        if batch is None and self._rests is None:
             # The memo is off, or went off in this chunk.
             rows = self._consume_matches(_WRITER_RE_M.findall(chunk), lines)
-        if rows is None:
-            rows = self._consume_lines(split_lines(chunk))
-        else:
-            self.malformed_positions = []
-        return rows
+            if rows is not None:
+                batch = EventBatch.from_rows(rows)
+        if batch is None:
+            return EventBatch.from_rows(self._consume_lines(split_lines(chunk)))
+        self.malformed_positions = []
+        return batch
+
+    def parse_chunk(self, chunk: str) -> list[Row]:
+        """Parse one newline-aligned text chunk into rows."""
+        return self.parse_batch(chunk).rows()
 
     def parse_lines(self, lines: Iterable[str]) -> list[Row]:
         return self._consume_lines(lines)
@@ -284,10 +324,11 @@ class LttngBatchParser:
     def iter_file_batches(
         self, path: str, chunk_chars: int = DEFAULT_CHUNK_CHARS
     ) -> Iterator[EventBatch]:
+        """Each newline-aligned chunk of the file at *path*, parsed."""
         for chunk in _read_chunks(path, chunk_chars):
-            rows = self.parse_chunk(chunk)
-            if rows:
-                yield EventBatch.from_rows(rows)
+            batch = self.parse_batch(chunk)
+            if len(batch):
+                yield batch
 
     def _read_rest(self, rest: str) -> tuple | None:
         """What a line says after its stamp, or None to decline.
@@ -309,13 +350,19 @@ class LttngBatchParser:
             return None
         return (int(epid), ename), ecomm, fields
 
-    def _consume_units(self, units: list[tuple], lines: int) -> list[Row] | None:
+    def _consume_units(self, units: list[tuple], lines: int) -> EventBatch | None:
         """Memo path over :data:`_UNIT_RE_M` tuples; None means redo.
 
         A unit whose exit has its entry's ``(pid, name)``, with no older
-        entry of that key waiting, is one row; every other line pairs
-        through the pending table.  Declines as :meth:`_consume_matches`
-        does, and when the memo switches off in this chunk.
+        entry of that key waiting, is one event of the template its two
+        rests say; a chunk memo maps the rests to the template, so a
+        repeated unit costs a lookup and two appends.  Every other line
+        pairs through the pending table, and each row that pairs there
+        is a template of its own.  The chunk memo holds only rests the
+        line memo holds (it clears with it), so hits and misses count as
+        if every unit looked its rests up.  Declines as
+        :meth:`_consume_matches` does, and when the memo switches off in
+        this chunk.
         """
         pending = self._pending
         snapshot = {key: list(queue) for key, queue in pending.items()}
@@ -324,21 +371,39 @@ class LttngBatchParser:
         get = rests.get
         hits = self._rest_hits
         ts_ns = self._parser.ts_memo
-        rows: list[Row] = []
-        append = rows.append
+        #: (entry rest, exit rest) -> (template id, (pid, name))
+        known: dict[tuple[str, str], tuple[int, tuple]] = {}
+        known_get = known.get
+        templates: list[tuple] = []
+        ids: list[int] = []
+        stamps: list[int] = []
+        add_id = ids.append
+        add_stamp = stamps.append
         singles = 0
         for ts, nsf, entry, exit_, line in units:
             if entry:
-                said = get(entry)
-                reply = get(exit_)
-                if said is not None and reply is not None:
-                    key = said[0]
-                    if reply[0] == key and not pending.get(key):
+                pair = (entry, exit_)
+                template = known_get(pair)
+                if template is not None:
+                    if not (pending and pending.get(template[1])):
                         hits += 2
-                        append((key[1], said[2].copy(), reply[2], reply[3], key[0],
-                                said[1] or reply[1], ts_ns[ts] + int(nsf)))
+                        add_id(template[0])
+                        add_stamp(ts_ns[ts] + int(nsf))
                         continue
-                unit = (entry, exit_)
+                else:
+                    said = get(entry)
+                    reply = get(exit_)
+                    if said is not None and reply is not None:
+                        key = said[0]
+                        if reply[0] == key and not pending.get(key):
+                            hits += 2
+                            known[pair] = (len(templates), key)
+                            add_id(len(templates))
+                            templates.append((key[1], said[2], reply[2], reply[3], key[0],
+                                              said[1] or reply[1]))
+                            add_stamp(ts_ns[ts] + int(nsf))
+                            continue
+                unit = pair
             else:
                 singles += 1
                 unit = (line,)
@@ -354,6 +419,7 @@ class LttngBatchParser:
                             self._rests = None
                             break
                         rests.clear()
+                        known.clear()
                         hits = 0
                     said = self._read_rest(rest)
                     if said is None:
@@ -363,7 +429,7 @@ class LttngBatchParser:
                 queue = pending.get(key)
                 if len(said) == 3:
                     # An entry: it waits for its exit.
-                    record = (ts_ns[ts] + int(nsf), said[1], said[2].copy())
+                    record = (ts_ns[ts] + int(nsf), said[1], said[2])
                     if queue is None:
                         pending[key] = [record]
                     else:
@@ -372,7 +438,9 @@ class LttngBatchParser:
                     entry_ns, comm, fields = queue.pop(0)
                     if not queue:
                         del pending[key]
-                    append((key[1], fields, said[2], said[3], key[0], comm or said[1], entry_ns))
+                    add_id(len(templates))
+                    templates.append((key[1], fields, said[2], said[3], key[0], comm or said[1]))
+                    add_stamp(entry_ns)
                 else:
                     self.orphan_exits += 1
             else:
@@ -381,7 +449,7 @@ class LttngBatchParser:
         else:
             if 2 * len(units) - singles == lines:
                 self._rest_hits = hits
-                return rows
+                return EventBatch.from_templates(templates, ids, stamps)
         # An unmatched line, a rest the strict grammar declines, or the
         # memo went off: the chunk is parsed again from the start.
         self._rest_hits = hits
@@ -497,6 +565,11 @@ class LttngBatchParser:
             rows.append(pair_row(name, args, fields, pid, entry_comm or comm, entry_ns))
         self.malformed_positions = bad
         return rows
+
+
+def _row_batch(self, chunk: str) -> EventBatch:
+    """:meth:`parse_chunk`'s rows as a batch (strace, syzkaller)."""
+    return EventBatch.from_rows(self.parse_chunk(chunk))
 
 
 def _per_line_rows(self, lines: Iterable[str]) -> list[Row]:
@@ -615,14 +688,6 @@ class StraceBatchParser:
     def parse_lines(self, lines: Iterable[str]) -> list[Row]:
         return self._consume_lines(lines)
 
-    def iter_file_batches(
-        self, path: str, chunk_chars: int = DEFAULT_CHUNK_CHARS
-    ) -> Iterator[EventBatch]:
-        for chunk in _read_chunks(path, chunk_chars):
-            rows = self.parse_chunk(chunk)
-            if rows:
-                yield EventBatch.from_rows(rows)
-
     def _arg_value(self, token: str) -> Any:
         if token and token[0] == '"' and "\\" not in token:
             # Truncated-string ellipsis strip without the escape decoder.
@@ -659,6 +724,8 @@ class StraceBatchParser:
         return (name, args, retval, err, pid, "", 0)
 
     _consume_lines = _per_line_rows
+    parse_batch = _row_batch
+    iter_file_batches = LttngBatchParser.iter_file_batches
 
 
 class SyzkallerBatchParser:
@@ -708,14 +775,6 @@ class SyzkallerBatchParser:
     def parse_lines(self, lines: Iterable[str]) -> list[Row]:
         return self._consume_lines(lines)
 
-    def iter_file_batches(
-        self, path: str, chunk_chars: int = DEFAULT_CHUNK_CHARS
-    ) -> Iterator[EventBatch]:
-        for chunk in _read_chunks(path, chunk_chars):
-            rows = self.parse_chunk(chunk)
-            if rows:
-                yield EventBatch.from_rows(rows)
-
     def _row_from_groups(self, res, name, argstr) -> Row:
         parser = self._parser
         resources = parser._resources
@@ -739,6 +798,8 @@ class SyzkallerBatchParser:
         return (name, args, 0, 0, 0, "", 0)
 
     _consume_lines = _per_line_rows
+    parse_batch = _row_batch
+    iter_file_batches = LttngBatchParser.iter_file_batches
 
 
 #: format name -> batch parser factory

@@ -30,6 +30,9 @@ class SyscallEvent(NamedTuple):
         args: argument name -> value.  Values are ints, strings
             (paths, xattr names), or lists of ints (iovec lengths).
             Buffer *contents* are never recorded, matching LTTng.
+            Read-only: events and parser rows may share one args dict
+            (see :data:`repro.trace.batch.Row`), so a consumer that
+            needs different args builds a new mapping.
         retval: raw kernel return value (negative errno on failure).
         errno: positive errno on failure, 0 on success (redundant with
             retval but convenient).

@@ -1,10 +1,12 @@
 """Crediting by shape equals crediting event by event.
 
 :meth:`IOCov._ingest_rows` tallies admitted events by shape and credits
-each shape once with its multiplicity.  These properties compare it
-against a reference that normalizes and credits every event on its own
-(the variant handler plus the coverage ``record`` methods), including
-every Counter's insertion order, which the reports' key order follows.
+each shape once with its multiplicity; the template pass
+(:meth:`IOCov._ingest_templates`) does so per template.  These
+properties compare both against a reference that normalizes and credits
+every event on its own (the variant handler plus the coverage
+``record`` methods), including every Counter's insertion order, which
+the reports' key order follows.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.core import IOCov, analyzer
 from repro.core.argspec import BASE_SYSCALLS, CLOSE_FD_ARG
 from repro.core.input_coverage import InputCoverage
 from repro.core.output_coverage import OutputCoverage
+from repro.trace.batch import EventBatch
 from repro.trace.events import event_from_row
 
 #: Tracked values whose classes must stay apart, plus an unhashable one.
@@ -116,6 +119,54 @@ def test_shape_crediting_matches_per_event_crediting(
         got = IOCov(mount_point=mount_point, registry=registry)
         got.consume(map(event_from_row, rows))
     assert _state(got) == _state(_reference(mount_point, registry, rows))
+
+
+@given(
+    drawn=st.lists(_ROW, min_size=1, max_size=20),
+    ids=st.lists(st.integers(min_value=0, max_value=19), max_size=80),
+    mount_point=st.sampled_from([None, "/mnt/test"]),
+    registry=st.sampled_from([None, _CUSTOM_REGISTRY]),
+    tally_cap=st.sampled_from([2, 4096]),
+)
+@example(  # an unhashable (iovec-list) tracked value between two hashable shapes
+    drawn=[("write", {"fd": 3, "count": 1}, 0, 1), ("writev", {"fd": 3, "count": [4, 8]}, 12, 1),
+           ("write", {"fd": 3, "count": 2}, 0, 1)],
+    ids=[0, 1, 2, 1, 0, 2],
+    mount_point=None,
+    registry=None,
+    tally_cap=4096,
+)
+@settings(max_examples=300, deadline=None)
+def test_the_template_pass_matches_per_event_crediting(
+    drawn, ids, mount_point, registry, tally_cap
+):
+    templates = [
+        (name, args, retval, -retval if retval < 0 else 0, pid, "t")
+        for name, args, retval, pid in drawn
+    ]
+    ids = [tid % len(templates) for tid in ids]
+    stamps = list(range(len(ids)))
+    rows = [templates[tid] + (stamp,) for tid, stamp in zip(ids, stamps)]
+    with mock.patch.object(analyzer, "_TALLY_CAP", tally_cap):
+        got = IOCov(mount_point=mount_point, registry=registry)
+        got.consume_batch(EventBatch.from_templates(templates, ids, stamps))
+    assert _state(got) == _state(_reference(mount_point, registry, rows))
+
+
+def test_the_template_pass_credits_past_the_tally_cap():
+    """More distinct shapes in one batch than one tally holds."""
+    templates = [("write", {"fd": 1, "count": count}, count, 0, 1, "t")
+                 for count in range(analyzer._TALLY_CAP + 50)]
+    ids = [tid for tid in range(len(templates)) for _ in range(2)]
+    ids += [0, 1, 2]
+    rows = [templates[tid] + (stamp,) for stamp, tid in enumerate(ids)]
+    got = IOCov()
+    credited = []
+    credit = got._credit
+    got._credit = lambda shapes: credited.append(len(shapes)) or credit(shapes)
+    got.consume_batch(EventBatch.from_templates(templates, ids, list(range(len(ids)))))
+    assert credited == [analyzer._TALLY_CAP, 50]
+    assert _state(got) == _state(_reference(None, None, rows))
 
 
 _ARGS = [

@@ -121,3 +121,39 @@ def test_accept_all_filter():
     events = [ev("open", {"pathname": "/anything"}, 3)]
     assert list(flt.filter(events)) == events
     assert flt.admit(events[0])
+
+
+def test_a_pid_has_an_fd_table_only_while_it_tracks_an_fd(flt):
+    """10,000 processes that each open and close one fd leave no table."""
+    for pid in range(10_000):
+        assert flt.admit(ev("open", {"pathname": "/mnt/test/f", "flags": 0}, 3, pid=pid))
+        assert flt.admit(ev("close", {"fd": 3}, 0, pid=pid))
+    assert flt._live_fds == {}
+    # Foreign and fd-less events create no table either.
+    assert not flt.admit(ev("read", {"fd": 3, "count": 1}, 1, pid=1))
+    assert not flt.admit(ev("close", {"fd": 3}, 0, pid=2))
+    assert not flt.admit(ev("open", {"pathname": "/tmp/x", "flags": 0}, 3, pid=3))
+    assert flt.admit(ev("chdir", {"filename": "/mnt/test"}, 0, pid=4))
+    assert flt._live_fds == {}
+    # A dup keeps the table until its last tracked fd closes.
+    assert flt.admit(ev("open", {"pathname": "/mnt/test/f", "flags": 0}, 3, pid=5))
+    assert flt.admit(ev("dup", {"fildes": 3}, 4, pid=5))
+    assert flt.admit(ev("close", {"fd": 3}, 0, pid=5))
+    assert flt._live_fds == {5: {4}}
+    assert flt.admit(ev("close", {"fd": 4}, 0, pid=5))
+    assert flt._live_fds == {}
+
+
+def test_decide_reads_the_event_and_apply_runs_its_step(flt):
+    """``admit_record`` is ``decide`` then, for an fd step, ``apply``."""
+    opened = ("open", {"pathname": "/mnt/test/f", "flags": 0}, 3)
+    step = flt.decide(*opened)
+    assert step.__class__ is tuple and flt._live_fds == {}
+    assert flt.decide(*opened) == step
+    assert flt.decide("open", {"pathname": "/tmp/x", "flags": 0}, 3) is False
+    assert flt.decide("chdir", {"filename": "/mnt/test/d"}, 0) is True
+    read = flt.decide("read", {"fd": 3, "count": 1}, 1)
+    assert not flt.apply(read, 7)
+    assert flt.apply(step, 7) and flt.apply(read, 7)
+    assert not flt.apply(read, 8)
+    assert AcceptAllFilter().decide(*opened) is True

@@ -79,7 +79,8 @@ def test_interleaved_text_and_binary_counts_in_order(mini_trace, mini_rbt):
     text = IngestSession("lttng", mount_point=MINI_MOUNT, suite_name="mini")
     mixed = IngestSession("lttng", mount_point=MINI_MOUNT, suite_name="mini")
     try:
-        lines = open(mini_trace).read().splitlines()
+        with open(mini_trace) as handle:
+            lines = handle.read().splitlines()
         cut = len(lines) // 2
         if cut % 2:  # keep entry/exit pairs intact
             cut += 1
@@ -194,7 +195,8 @@ def test_forced_binary_on_text_file_is_client_error(server, mini_trace):
 
 def test_truncated_binary_body_is_rejected(server, mini_rbt, tmp_path):
     clipped = tmp_path / "clipped.rbt"
-    clipped.write_bytes(open(mini_rbt, "rb").read()[:-3])
+    with open(mini_rbt, "rb") as handle:
+        clipped.write_bytes(handle.read()[:-3])
     with pytest.raises(PushError) as excinfo:
         push_file(_url(server), str(clipped), transport="binary")
     assert excinfo.value.status == 400

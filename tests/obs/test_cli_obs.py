@@ -177,6 +177,7 @@ def test_serve_push_sigterm_drain_end_to_end(tmp_path, mini_trace):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
     with RunStore(db) as store:
         runs = store.list_runs()
         # The push snapshot plus the drain snapshot.

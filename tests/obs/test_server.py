@@ -5,13 +5,14 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import sqlite3
 import threading
 
 import pytest
 
 from repro.obs.client import PushError, fetch_json, push_file
 from repro.obs.metrics import validate_exposition
-from repro.obs.server import make_server
+from repro.obs.server import ObsServer, TenantManager, make_server
 from repro.obs.store import RunStore
 from tests.obs.conftest import MINI_MOUNT
 
@@ -314,3 +315,33 @@ def test_recovery_after_simulated_crash(tmp_path, mini_trace, mini_report):
         srv2.drain_and_stop(snapshot=False)
         srv2.server_close()
         thread2.join(timeout=10)
+
+
+@pytest.mark.parametrize("store_name", ["runs.sqlite", "shards/"])
+def test_server_close_closes_the_store_it_opened(tmp_path, store_name):
+    """The store make_server opened is closed before its lock is released."""
+    store_path = str(tmp_path / store_name)
+    srv, _ = make_server("127.0.0.1", 0, fmt="lttng", store_path=store_path)
+    srv.session.feed_lines(["not an lttng line"])  # opens the journal file
+    journal = srv.store._journals[("default", "default")]
+    srv.server_close()
+    assert journal._fh.closed
+    assert srv.store._journals == {}
+    # The lock is free again, and the next daemon finds the line.
+    srv2, recovered = make_server("127.0.0.1", 0, fmt="lttng", store_path=store_path)
+    srv2.server_close()
+    assert recovered == 1
+
+
+def test_server_close_leaves_a_passed_store_open(tmp_path):
+    store = RunStore(str(tmp_path / "runs.sqlite"))
+    srv = ObsServer(("127.0.0.1", 0), tenants=TenantManager(store=store), store=store)
+    srv.session.feed_lines(["not an lttng line"])
+    srv.server_close()
+    try:
+        assert list(store.journal_lines("live")) == ["not an lttng line"]
+        assert store.list_runs() == []
+    finally:
+        store.close()
+    with pytest.raises(sqlite3.ProgrammingError):
+        store.list_runs()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import struct
+import tracemalloc
 
 import pytest
 
@@ -100,6 +101,41 @@ def test_journal_clear_compacts_other_sessions_survive(tmp_path):
     assert journal.size("live") == 0
     assert list(journal.lines("live")) == []
     assert list(journal.lines("keep")) == ["short"]
+    journal.close()
+
+
+def test_journal_replay_holds_one_frame_at_a_time(tmp_path):
+    """A ~5 MB journal opens, replays and compacts in well under 1 MB."""
+    path = str(tmp_path / "j.rjl")
+    lines = [f"{i:06d} " + "x" * 500 for i in range(10_000)]
+    journal = BatchedJournal(path)
+    journal.append("live", lines)
+    journal.append("keep", ["short"])
+    journal.close()
+    assert os.path.getsize(path) > 5_000_000
+    tracemalloc.start()
+    try:
+        reopened = BatchedJournal(path)
+        replayed = sum(got == want for got, want in zip(reopened.lines("live"), lines))
+        reopened.clear("live")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert replayed == len(lines)
+    assert list(reopened.lines("keep")) == ["short"]
+    reopened.close()
+    assert peak < 1_000_000, peak
+
+
+def test_journal_replay_stops_where_the_file_ended_when_it_began(tmp_path):
+    journal = BatchedJournal(str(tmp_path / "j.rjl"))
+    journal.append("live", ["one", "two"])
+    replay = journal.lines("live")
+    assert next(replay) == "one"
+    journal.append("live", ["three"])
+    journal.sync()
+    assert list(replay) == ["two"]
+    assert list(journal.lines("live")) == ["one", "two", "three"]
     journal.close()
 
 

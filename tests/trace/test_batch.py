@@ -669,3 +669,41 @@ def test_an_exit_names_the_process_when_its_entry_has_no_comm():
         if not memo:
             parser._rests = None
         assert (parser.parse_chunk(text), parser.stats()) == want
+
+
+def test_the_chunk_memo_clears_with_the_line_memo(monkeypatch):
+    """A repeated pair after the line memo clears looks its rests up again.
+
+    With a cap of 4: A A A B fill the memo with 4 hits for 4 misses, so
+    C clears it.  A's rests then miss again, and D ends a fill with no
+    hits, which switches the memo off in this chunk.  A chunk memo that
+    outlived the clear would count A as two hits and keep the memo on.
+    """
+    monkeypatch.setattr(batch, "_REST_MEMO_CAP", 4)
+    pids = [1, 1, 1, 2, 3, 1, 4]
+    text = LttngWriter().dumps([
+        make_event("read", {"fd": 3, "count": pid}, pid, pid=pid, timestamp=i * 1_000)
+        for i, pid in enumerate(pids)
+    ])
+    parser = LttngBatchParser()
+    batch_ = parser.parse_batch(text)
+    assert parser._rests is None
+    assert batch_.templated is None  # the full grammar read it
+    assert (batch_.rows(), parser.stats()) == _per_line_reference(text)
+
+
+def test_each_repeated_pair_is_one_template_in_its_chunk():
+    """The memo path hands out templates, their ids and the timestamps."""
+    events = [
+        make_event("read", {"fd": 3, "count": i % 2}, 1, pid=7, comm="fsx", timestamp=i * 10)
+        for i in range(6)
+    ]
+    text = LttngWriter().dumps(events)
+    parser = LttngBatchParser()
+    parser.parse_batch(text)  # the rests are memoized now
+    templates, ids, stamps = parser.parse_batch(text).templated
+    assert templates == [("read", {"fd": 3, "count": 0}, 1, 0, 7, "fsx"),
+                         ("read", {"fd": 3, "count": 1}, 1, 0, 7, "fsx")]
+    assert ids == [0, 1, 0, 1, 0, 1]
+    assert stamps == [i * 10 for i in range(6)]
+    assert parser.parse_chunk(text) == _per_line_reference(text)[0]
