@@ -378,7 +378,9 @@ class IOCov:
         reader = RbtReader(path)
         self.filter.reset()
         for batch in reader:
-            self._ingest_rows(batch.iter_rows())
+            self.consume_batch(batch)
+            # Free this frame's rows before the reader decodes the next.
+            del batch
         self.parse_stats = reader.header.get("parse_stats")
         return self
 

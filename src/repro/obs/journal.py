@@ -17,6 +17,9 @@ namespace's first ``journal_*`` call.
 Appends use **group commit**: they stay unsynced until
 :meth:`BatchedJournal.sync`, which the daemon calls once before it
 acknowledges a request, so one acknowledged push costs one ``fsync``.
+A namespace's first sync in a process also fsyncs the directories on
+the journal's path, and compaction fsyncs the directory it renames in,
+so no file name the journal relies on is lost to a power cut.
 A crash can tear only records appended since the last sync; replay
 stops at the first bad frame and the torn tail is truncated on reopen
 (those records were never acknowledged as durable).
@@ -74,6 +77,21 @@ def _read_frames(fh: BinaryIO, limit: int) -> Iterator[tuple[str, str, int]]:
         offset = end
 
 
+def _fsync_paths(paths: Iterable[str]) -> None:
+    """``fsync`` each file or directory at *paths*, in order.
+
+    A directory's ``fsync`` makes its entries durable: a file created or
+    renamed into it keeps its name across a power loss.
+    """
+    for path in paths:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            # Callers hold their journal's lock (see _commit and clear).
+            os.fsync(fd)  # lint: allow(blocking-under-lock)
+        finally:
+            os.close(fd)
+
+
 class BatchedJournal:
     """Append-only, CRC-framed journal with group-commit durability.
 
@@ -81,13 +99,20 @@ class BatchedJournal:
     writes the pending group with one ``fsync``; the ingest path syncs
     before it acknowledges a request.  On open, any torn tail from a
     crash mid-group is truncated away.
+
+    Args:
+        path: the journal file (created if missing).
+        dirs: the directories whose entries lead to *path*, top-down;
+            the first commit also fsyncs them, so a power loss cannot
+            take a synced journal's name away.
     """
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, dirs: Iterable[str] = ()) -> None:
         self.path = path
         self._lock = threading.RLock()
         self._counts: dict[str, int] = {}
         self._unsynced = 0
+        self._dirs = list(dirs)
         valid_end = self._scan()
         self._fh = open(path, "ab")
         if self._fh.tell() > valid_end:
@@ -120,6 +145,8 @@ class BatchedJournal:
         # last sync rides one fsync, and writers must not interleave
         # while it lands.
         os.fsync(self._fh.fileno())  # lint: allow(blocking-under-lock)
+        _fsync_paths(self._dirs)
+        self._dirs = []
         self._unsynced = 0
 
     def sync(self) -> None:
@@ -167,11 +194,13 @@ class BatchedJournal:
                 for rec_session, line, _end in _read_frames(src, limit):
                     if rec_session != session:
                         fh.write(_frame(rec_session, line))
-                fh.flush()
-                # Compaction must be atomic against appends: the lock
-                # stays held while the replacement file is made durable.
-                os.fsync(fh.fileno())  # lint: allow(blocking-under-lock)
+            # Compaction must be atomic against appends: the lock stays
+            # held while the replacement file, then its name, is made
+            # durable.  Without the second fsync a power loss could
+            # bring back the records a snapshot has already stored.
+            _fsync_paths([tmp])
             os.replace(tmp, self.path)
+            _fsync_paths([os.path.dirname(os.path.abspath(self.path))])
             self._fh = open(self.path, "ab")
             self._counts.pop(session, None)
             self._unsynced = 0

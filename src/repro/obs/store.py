@@ -340,7 +340,13 @@ class BaseRunStore(abc.ABC):
                 os.makedirs(os.path.dirname(path), exist_ok=True)
             elif not os.path.exists(path):
                 return None
-            journal = self._journals[tenant, project] = BatchedJournal(path)
+            # From the directory that holds the root down to the file's:
+            # the first commit makes every entry on the way durable,
+            # whichever process created it.
+            root = os.path.abspath(self._journal_root)
+            dirs = [os.path.dirname(root), root, os.path.join(root, tenant),
+                    os.path.join(root, tenant, project)]
+            journal = self._journals[tenant, project] = BatchedJournal(path, dirs)
         return journal
 
     def _all_journals(self) -> list[tuple[tuple[str, str], BatchedJournal]]:

@@ -15,9 +15,10 @@ Capture paths into the IOCov analyzer:
   :class:`SyzkallerParser`) are the batch parsers' fallback for chunks
   their strict regexes decline, and the reference the tests compare
   every other path against;
-* binary ``.rbt`` container: :func:`convert_file`, :class:`RbtReader`,
-  :class:`RbtWriter`, :class:`RbtDecoder` — parse once, analyze at
-  decode speed.
+* binary ``.rbt`` container: :func:`convert_file` (which writes
+  through :class:`RbtWriter`), :class:`RbtReader`, :class:`RbtDecoder`
+  — parse once, then decode each frame straight to
+  :class:`EventBatch` rows.
 
 Every text path ends a line at ``\n`` only (:func:`split_lines`).
 """

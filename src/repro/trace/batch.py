@@ -1,4 +1,4 @@
-"""Batch-columnar trace parsing: chunk-at-a-time instead of line-at-a-time.
+"""Batch trace parsing: chunk-at-a-time instead of line-at-a-time.
 
 The per-line parsers build one :class:`~repro.trace.events.SyscallEvent`
 object per record, which caps text ingest nearly an order of magnitude
@@ -6,11 +6,11 @@ below the analyzer's counting throughput.  This module closes that gap
 by working on **event batches**:
 
 * :class:`EventBatch` holds a block of parsed events as compact rows
-  (one tuple per event), as templates (each repeated event once, plus
-  one template id and one timestamp per event — what the LTTng parser's
-  line memo produces), or as parallel columns (what the binary ``.rbt``
-  decoder produces, see :mod:`repro.trace.binary`).  All three iterate
-  identically, and their rows are read-only (:data:`Row`).
+  (one tuple per event; what the binary ``.rbt`` decoder produces too,
+  see :mod:`repro.trace.binary`) or as templates (each repeated event
+  once, plus one template id and one timestamp per event — what the
+  LTTng parser's line memo produces).  Both iterate identically, and
+  their rows are read-only (:data:`Row`).
 * :class:`LttngBatchParser` / :class:`StraceBatchParser` /
   :class:`SyzkallerBatchParser` parse whole text chunks with one
   multiline ``findall`` over a strict precompiled grammar, falling back
@@ -110,11 +110,12 @@ def make_parse_stats(
 class EventBatch:
     """A block of parsed syscall events.
 
-    Storage is one of three interchangeable forms:
+    Storage is one of two interchangeable forms:
 
     * **rows** — a list of ``(name, args, retval, errno, pid, comm,
       timestamp)`` tuples.  The per-line and full-grammar text paths
-      produce this: one append per event, no object construction.
+      and the binary ``.rbt`` decoder (:mod:`repro.trace.binary`)
+      produce this: one tuple per event.
     * **templates** — what the LTTng line-memo path produces (see
       :attr:`templated`): ``(name, args, retval, errno, pid, comm)``
       tuples, each of the chunk's repeated events once (an event the
@@ -124,22 +125,14 @@ class EventBatch:
       + (stamps[i],)``, so the events of one template share its args
       dict, and a consumer may do per template what it would do per
       event (:meth:`repro.core.analyzer.IOCov.consume_batch`).
-    * **columns** — parallel sequences per field (numeric fields as
-      ``array('q')`` where they fit), with syscall args held as
-      per-key columns.  The binary decoder produces this without any
-      per-event Python work; argument dicts are materialized lazily
-      the first time rows are requested.
 
-    Every form yields the same rows; rows are read-only (see :data:`Row`).
+    Both forms yield the same rows; rows are read-only (see :data:`Row`).
     """
 
-    __slots__ = ("_rows", "_cols", "_arg_cols", "templated")
+    __slots__ = ("_rows", "templated")
 
-    def __init__(self, rows=None, cols=None, arg_cols=None, templated=None) -> None:
+    def __init__(self, rows=None, templated=None) -> None:
         self._rows = rows
-        #: (names, argses, retvals, errnos, pids, comms, timestamps)
-        self._cols = cols
-        self._arg_cols = arg_cols
         #: (templates, ids, stamps) of a templated batch, else None.
         self.templated = templated
 
@@ -156,42 +149,15 @@ class EventBatch:
         """Templated constructor: row *i* is ``templates[ids[i]] + (stamps[i],)``."""
         return cls(templated=(templates, ids, stamps))
 
-    @classmethod
-    def from_columns(
-        cls, names, argses, retvals, errnos, pids, comms, timestamps, arg_cols=None
-    ) -> "EventBatch":
-        """Columnar constructor (binary decode path).
-
-        *argses* may be None when *arg_cols* (the per-key columns, see
-        :mod:`repro.trace.binary`) is given; dicts are then built
-        lazily on first row access.
-        """
-        return cls(
-            cols=[names, argses, retvals, errnos, pids, comms, timestamps],
-            arg_cols=arg_cols,
-        )
-
     # -- access --------------------------------------------------------------
 
     def __len__(self) -> int:
         if self._rows is not None:
             return len(self._rows)
-        if self.templated is not None:
-            return len(self.templated[1])
-        return len(self._cols[0])
-
-    def _materialize_args(self) -> list:
-        cols = self._cols
-        if cols[1] is None:
-            n = len(cols[0])
-            argses = [dict() for _ in range(n)]
-            for key, fill in self._arg_cols:
-                fill(key, argses)
-            cols[1] = argses
-        return cols[1]
+        return len(self.templated[1])
 
     def rows(self) -> list[Row]:
-        """The batch as row tuples (materialized once for templates and columns)."""
+        """The batch as row tuples (materialized once for templates)."""
         if self._rows is None:
             self._rows = list(self.iter_rows())
         return self._rows
@@ -199,11 +165,8 @@ class EventBatch:
     def iter_rows(self) -> Iterator[Row]:
         if self._rows is not None:
             return iter(self._rows)
-        if self.templated is not None:
-            templates, ids, stamps = self.templated
-            return map(tuple.__add__, map(templates.__getitem__, ids), zip(stamps))
-        names, _, retvals, errnos, pids, comms, timestamps = self._cols
-        return zip(names, self._materialize_args(), retvals, errnos, pids, comms, timestamps)
+        templates, ids, stamps = self.templated
+        return map(tuple.__add__, map(templates.__getitem__, ids), zip(stamps))
 
     def iter_events(self) -> Iterator[SyscallEvent]:
         """Yield one :class:`SyscallEvent` per row (compat shim)."""

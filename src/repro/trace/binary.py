@@ -4,7 +4,7 @@ Text traces pay their parse cost on *every* analysis run.  Converting
 once (``repro convert``) amortizes that cost: the binary layout needs
 no grammar, no argument tokenizer and no string interning on read —
 decoding is a handful of ``array.frombytes``/``json.loads`` calls per
-frame instead of per-event Python work.
+frame, then one dict store per argument value.
 
 Layout (all integers little-endian, varints are unsigned LEB128)::
 
@@ -40,9 +40,10 @@ The terminator makes truncation *detectable*: a stream that ends
 mid-frame or before the zero-length frame raises
 :class:`RbtTruncatedError` instead of silently yielding fewer events.
 
-Decoding produces columnar :class:`~repro.trace.batch.EventBatch`
-objects whose argument dicts are built lazily — consumers that only
-need counts or names never pay for dict construction at all.
+Decoding fills each frame's argument dicts one key column at a time
+and hands the frame out as an :class:`~repro.trace.batch.EventBatch`
+of rows: every consumer (counting, live ingest and its journal replay,
+re-encoding) reads all of a frame's rows.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from __future__ import annotations
 import json
 import sys
 from array import array
+from itertools import compress
 from typing import Any, BinaryIO, Iterable, Iterator
 
 from repro.trace.batch import (
@@ -304,59 +306,10 @@ def _decode_id_column(view: memoryview, pos: int, n: int):
         raise RbtFormatError("id column references past the string table") from None
 
 
-class _IntArgFill:
-    """Lazy filler for a packed-int argument column."""
-
-    __slots__ = ("presence", "values")
-
-    def __init__(self, presence: bytes, values) -> None:
-        self.presence = presence
-        self.values = values
-
-    def __call__(self, key: str, argses: list) -> None:
-        index = 0
-        for i, flag in enumerate(self.presence):
-            if flag:
-                argses[i][key] = self.values[index]
-                index += 1
-
-
-class _StrArgFill:
-    """Lazy filler for a dictionary-encoded string argument column."""
-
-    __slots__ = ("ids", "table")
-
-    def __init__(self, ids, table: list) -> None:
-        self.ids = ids
-        self.table = table
-
-    def __call__(self, key: str, argses: list) -> None:
-        table = self.table
-        for i, idx in enumerate(self.ids):
-            if idx:
-                argses[i][key] = table[idx - 1]
-
-
-class _ObjArgFill:
-    """Lazy filler for a JSON-encoded argument column."""
-
-    __slots__ = ("presence", "values")
-
-    def __init__(self, presence: bytes, values: list) -> None:
-        self.presence = presence
-        self.values = values
-
-    def __call__(self, key: str, argses: list) -> None:
-        index = 0
-        for i, flag in enumerate(self.presence):
-            if flag:
-                argses[i][key] = self.values[index]
-                index += 1
-
-
-def _decode_arg_columns(view: memoryview, pos: int, n: int):
+def _decode_arg_columns(view: memoryview, pos: int, argses: list) -> int:
+    """Fill each event's args dict in *argses*, one key column at a time."""
+    n = len(argses)
     n_keys, pos = _read_uvarint(view, pos)
-    cols = []
     for _ in range(n_keys):
         key_bytes, pos = _take_blob(view, pos)
         key = key_bytes.decode("utf-8")
@@ -364,6 +317,8 @@ def _decode_arg_columns(view: memoryview, pos: int, n: int):
             raise RbtTruncatedError("frame ends before an argument column tag")
         tag = view[pos]
         pos += 1
+        # Each tag yields the events that hold the key (a truthy
+        # presence entry each) and their values, in event order.
         if tag == 0:
             if pos + n > len(view):
                 raise RbtTruncatedError("frame ends inside a presence column")
@@ -374,15 +329,16 @@ def _decode_arg_columns(view: memoryview, pos: int, n: int):
                 raise RbtTruncatedError("frame ends inside an i64 arg column")
             values = _i64_from(view[pos:], count)
             pos += count * 8
-            cols.append((key, _IntArgFill(presence, values)))
         elif tag == 1:
             if pos + n * 4 > len(view):
                 raise RbtTruncatedError("frame ends inside a string arg column")
-            ids = _u32_from(view[pos:], n)
+            presence = _u32_from(view[pos:], n)  # 1-based string ids
             pos += n * 4
             blob, pos = _take_blob(view, pos)
             table = json.loads(blob)
-            cols.append((key, _StrArgFill(ids, table)))
+            if max(presence, default=0) > len(table):
+                raise RbtFormatError("argument column references past the string table")
+            values = [table[idx - 1] for idx in presence if idx]
         elif tag == 2:
             if pos + n > len(view):
                 raise RbtTruncatedError("frame ends inside a presence column")
@@ -392,14 +348,15 @@ def _decode_arg_columns(view: memoryview, pos: int, n: int):
             values = json.loads(blob)
             if len(values) != sum(presence):
                 raise RbtFormatError("JSON arg column length mismatch")
-            cols.append((key, _ObjArgFill(presence, values)))
         else:
             raise RbtFormatError(f"unknown argument column tag {tag}")
-    return cols, pos
+        for args, value in zip(compress(argses, presence), values):
+            args[key] = value
+    return pos
 
 
 def decode_batch(payload: bytes) -> EventBatch:
-    """Decode one frame payload into a columnar :class:`EventBatch`."""
+    """Decode one frame payload into an :class:`EventBatch` of rows."""
     view = memoryview(payload)
     n, pos = _read_uvarint(view, 0)
     if n == 0:
@@ -410,11 +367,12 @@ def decode_batch(payload: bytes) -> EventBatch:
     errnos, pos = _decode_scalar_column(view, pos, n)
     pids, pos = _decode_scalar_column(view, pos, n)
     timestamps, pos = _decode_scalar_column(view, pos, n)
-    arg_cols, pos = _decode_arg_columns(view, pos, n)
+    argses = [{} for _ in range(n)]
+    pos = _decode_arg_columns(view, pos, argses)
     if pos != len(view):
         raise RbtFormatError("trailing bytes after the last frame column")
-    return EventBatch.from_columns(
-        names, None, retvals, errnos, pids, comms, timestamps, arg_cols=arg_cols
+    return EventBatch.from_rows(
+        list(zip(names, argses, retvals, errnos, pids, comms, timestamps))
     )
 
 
@@ -442,7 +400,10 @@ class RbtWriter:
 
     def write_rows(self, rows: Iterable[Row]) -> int:
         """Encode *rows* as one frame; returns the events written."""
-        payload = encode_batch(rows)
+        return self.write_payload(encode_batch(rows))
+
+    def write_payload(self, payload: bytes) -> int:
+        """Write one :func:`encode_batch` payload as a frame; returns its events."""
         count, _ = _read_uvarint(payload, 0)
         if count == 0:
             return 0
@@ -464,8 +425,11 @@ class RbtWriter:
     def __enter__(self) -> "RbtWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc) -> None:
+        # A stream cut short by an error stays unterminated, so reading
+        # it raises RbtTruncatedError instead of yielding fewer events.
+        if exc_type is None:
+            self.close()
 
 
 def encode_stream(
@@ -584,8 +548,10 @@ class RbtDecoder:
 class RbtReader:
     """Reads an ``.rbt`` file; iterating yields :class:`EventBatch`es."""
 
-    #: Bytes per read while streaming frames off disk.
-    READ_SIZE = 1 << 20
+    #: Bytes per read while streaming frames off disk.  A read smaller
+    #: than a frame (a full 8,192-event frame is ~0.5 MB) completes at
+    #: most one frame, so only the frame being counted holds its rows.
+    READ_SIZE = 1 << 16
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -656,39 +622,30 @@ def convert_file(
     parser = make_batch_parser(fmt)
     pending: list[Row] = []
     events = 0
-    with open(dst, "wb") as sink:
-        header: dict[str, Any] = {"format": fmt, "source": src}
-        header.update(extra_header or {})
-        # Parse stats are only final once the whole text is read, and
-        # they belong in the header, so frames are staged in memory and
-        # written after the prefix (encoded frames are smaller than the
-        # text they replace).
-        frames: list[bytes] = []
-        for chunk in _read_chunks(src, chunk_chars):
-            pending.extend(parser.parse_chunk(chunk))
-            while len(pending) >= frame_events:
-                frames.append(encode_batch(pending[:frame_events]))
-                events += frame_events
-                del pending[:frame_events]
-        if pending:
-            frames.append(encode_batch(pending))
-            events += len(pending)
-            pending = []
-        header["parse_stats"] = parser.stats()
-        header["events"] = events
-        writer_prefix = bytearray(MAGIC)
-        writer_prefix.append(VERSION)
-        _append_blob(writer_prefix, _dump_json(header))
-        sink.write(bytes(writer_prefix))
+    # Parse stats are only final once the whole text is read, and they
+    # belong in the header, so frames are staged in memory and written
+    # after it (encoded frames are smaller than the text they replace).
+    frames: list[bytes] = []
+    for chunk in _read_chunks(src, chunk_chars):
+        pending.extend(parser.parse_chunk(chunk))
+        while len(pending) >= frame_events:
+            frames.append(encode_batch(pending[:frame_events]))
+            events += frame_events
+            del pending[:frame_events]
+    if pending:
+        frames.append(encode_batch(pending))
+        events += len(pending)
+    stats = parser.stats()
+    header: dict[str, Any] = {"format": fmt, "source": src}
+    header.update(extra_header or {})
+    header["parse_stats"] = stats
+    header["events"] = events
+    with open(dst, "wb") as sink, RbtWriter(sink, header) as writer:
         for payload in frames:
-            frame = bytearray()
-            _write_uvarint(frame, len(payload))
-            sink.write(bytes(frame))
-            sink.write(payload)
-        sink.write(b"\x00")
+            writer.write_payload(payload)
     return {
         "format": fmt,
         "events": events,
-        "frames": len(frames),
-        "parse_stats": parser.stats(),
+        "frames": writer.frames_written,
+        "parse_stats": stats,
     }

@@ -360,9 +360,11 @@ class LttngParser:
         """Fields of a writer-shaped entry block, or None to decline.
 
         Memoized per parser: suites repeat the same blocks over and
-        over.  Every call returns a fresh dict, so callers may mutate
-        what they get.  A declined block (braces, escapes, or a shape
-        :func:`_fast_fields` rejects) is left to the permissive grammar.
+        over, and every call for one block returns the memo's one dict,
+        so what callers get is read-only (rows are, see
+        :data:`~repro.trace.batch.Row`).  A declined block (braces,
+        escapes, or a shape :func:`_fast_fields` rejects) is left to the
+        permissive grammar.
         """
         memo = self._field_memo
         fields = memo.get(body)
@@ -375,7 +377,7 @@ class LttngParser:
             if len(memo) >= _FIELD_MEMO_CAP:
                 memo.clear()
             memo[body] = fields
-        return fields.copy()
+        return fields
 
     def parse_line(self, line: str) -> tuple[str, str, int, int, str, dict[str, Any]] | None:
         """Parse one line into (kind, name, ts, pid, comm, fields)."""

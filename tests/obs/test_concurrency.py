@@ -109,26 +109,45 @@ def test_concurrent_pushes_one_tenant_serialized(server, mini_trace,
     assert session["parse_errors"] == 0
 
 
-def _one_fsync_per_push(server, mini_trace, monkeypatch):
-    syncs = []
+def _inode(stat_result) -> tuple[int, int]:
+    return stat_result.st_dev, stat_result.st_ino
+
+
+def _one_fsync_per_push(server, mini_trace, monkeypatch, journal_root):
+    """A fresh namespace's first push also fsyncs the directories on its
+    journal's path, top-down; every later push is one fsync."""
+    synced = []
     real_fsync = os.fsync
-    monkeypatch.setattr(os, "fsync", lambda fd: syncs.append(fd) or real_fsync(fd))
-    answer = push_file(_url(server), mini_trace)
-    assert answer["flushed"] is True
-    assert server.session.lines_received == 240
-    assert len(syncs) == 1
+    monkeypatch.setattr(
+        os, "fsync", lambda fd: synced.append(_inode(os.fstat(fd))) or real_fsync(fd)
+    )
+    pushes = []
+    for _ in range(2):
+        answer = push_file(_url(server), mini_trace)
+        assert answer["flushed"] is True
+        pushes.append(synced[:])
+        synced.clear()
+    assert server.session.lines_received == 480
+    root = str(journal_root)
+    journal = os.path.join(root, "default", "default", JOURNAL_FILE)
+    dirs = [os.path.dirname(root), root, os.path.join(root, "default"),
+            os.path.dirname(journal)]
+    assert pushes[0] == [_inode(os.stat(path)) for path in [journal, *dirs]]
+    assert pushes[1] == [_inode(os.stat(journal))]
 
 
-def test_push_costs_one_journal_fsync(server, mini_trace, monkeypatch):
+def test_push_costs_one_journal_fsync(server, mini_trace, monkeypatch, tmp_path):
     """One acknowledged push is one journal fsync, however many lines."""
-    _one_fsync_per_push(server, mini_trace, monkeypatch)
+    _one_fsync_per_push(server, mini_trace, monkeypatch, tmp_path / "shards")
 
 
 def test_push_costs_one_journal_fsync_on_a_single_file_store(
-    single_file_server, mini_trace, monkeypatch
+    single_file_server, mini_trace, monkeypatch, tmp_path
 ):
     """The single-file store journals as a shard does: one fsync a push."""
-    _one_fsync_per_push(single_file_server, mini_trace, monkeypatch)
+    _one_fsync_per_push(
+        single_file_server, mini_trace, monkeypatch, tmp_path / "runs.sqlite.journal"
+    )
 
 
 def _torn_final_group_replay(store_path, journal_root, mini_trace):

@@ -104,6 +104,27 @@ def test_journal_clear_compacts_other_sessions_survive(tmp_path):
     journal.close()
 
 
+def test_journal_clear_makes_the_compacted_file_and_its_name_durable(
+    tmp_path, monkeypatch
+):
+    """The compacted file's bytes, then the directory it is renamed in:
+    without the second fsync a power loss can bring back the records of
+    a session whose snapshot is already stored."""
+    path = str(tmp_path / "j.rjl")
+    journal = BatchedJournal(path)
+    journal.append("live", ["counted"])
+    journal.append("keep", ["pending"])
+    journal.sync()
+    synced = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(os.fstat(fd)) or real_fsync(fd))
+    journal.clear("live")
+    journal.close()
+    assert [(st.st_dev, st.st_ino) for st in synced] == [
+        (st.st_dev, st.st_ino) for st in (os.stat(path), os.stat(tmp_path))
+    ]
+
+
 def test_journal_replay_holds_one_frame_at_a_time(tmp_path):
     """A ~5 MB journal opens, replays and compacts in well under 1 MB."""
     path = str(tmp_path / "j.rjl")

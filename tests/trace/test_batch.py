@@ -237,9 +237,9 @@ def test_lttng_parity_any_chunking(seed, cuts):
     assert parser.stats() == want_stats
 
 
-def _per_line_reference(text: str):
+def _per_line_reference(text: str, fast: bool = True):
     """Rows and stats of the plain per-line parser (no batch code)."""
-    parser = LttngParser()
+    parser = LttngParser(fast=fast)
     records = list(parser.parse_records(text.splitlines()))
     rows = [payload for kind, payload in records if kind == "event"]
     orphans = sum(1 for kind, _ in records if kind == "orphan")
@@ -603,6 +603,46 @@ def test_a_leading_zero_pid_means_the_same_to_both_grammars():
                 parser._rests = None
             assert parser.parse_chunk("".join(line + "\n" for line in lines)) == [], comm
             assert parser.malformed_lines == 2
+
+
+#: Field values the writer never emits but the permissive grammar reads.
+_UNWRITTEN_FIELDS = [
+    "mode = 0644",  # a leading zero: the permissive grammar keeps '0644'
+    "offset = -010",
+    "offset = -0",
+    "flags = 0x1f",
+    "buf = 0x0",
+    'pathname = ""',
+    'pathname = "/mnt/test/a, b"',  # the fast split would cut it in two
+    "flags = 1,2",  # a bare comma ends an unquoted value
+]
+
+
+@pytest.mark.parametrize("field", _UNWRITTEN_FIELDS)
+def test_the_strict_field_parser_reads_what_the_permissive_grammar_reads(field):
+    """Every batch path reads a field as ``LttngParser(fast=False)`` does.
+
+    The default per-line parser is no reference here: it reads
+    writer-shaped lines with the same ``_fast_fields`` as the batch
+    parser, so it would agree with a mistake there.
+    """
+    def pair(ns):
+        return "".join(
+            _babeltrace_line(ns + step, 1, "sim", kind, "openat", 0, "tester", 7, payload)
+            + "\n"
+            for step, kind, payload in ((0, "entry", f"fd = 3, {field}"),
+                                        (10, "exit", "ret = 3"))
+        )
+
+    text = pair(100) + pair(200)  # the second pair repeats the first's rests
+    want = _per_line_reference(text, fast=False)
+    assert len(want[0]) == 2
+    for memo in (True, False):
+        parser = LttngBatchParser()
+        if not memo:
+            parser._rests = None
+        assert (parser.parse_chunk(text), parser.stats()) == want, memo
+    assert _per_line_reference(text) == want
 
 
 def test_a_writer_shaped_chunk_never_goes_line_by_line(monkeypatch):

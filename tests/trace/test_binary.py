@@ -9,6 +9,7 @@ runs the (parity-proven) batch parsers and the container is lossless.
 from __future__ import annotations
 
 import io
+import os
 import random
 
 import pytest
@@ -33,6 +34,13 @@ from repro.trace.binary import (
 )
 from repro.trace.events import make_event
 from repro.trace.lttng import LttngWriter
+
+#: The repository root: the golden file's header holds the source path
+#: ``repro convert`` was given, relative to it.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+MINI_TEXT = "tests/fixtures/mini.lttng.txt"
+#: ``repro convert tests/fixtures/mini.lttng.txt`` as ``.rbt`` v1 wrote it.
+MINI_RBT = "tests/fixtures/mini.rbt"
 
 ADVERSARIAL_ROWS = [
     ("open", {"pathname": "/mnt/a,b", "flags": 0}, 3, 0, 1, "app", 100),
@@ -74,6 +82,18 @@ def test_writer_reader_file_roundtrip(tmp_path):
     assert read_rbt_header(str(path))["note"] == "hello"
     events = read_rbt_events(str(path))
     assert _rows_from_events(events) == ADVERSARIAL_ROWS
+
+
+def test_a_writer_cut_short_by_an_error_leaves_a_truncated_stream():
+    sink = io.BytesIO()
+    with pytest.raises(TypeError):
+        with RbtWriter(sink) as writer:
+            writer.write_rows(ADVERSARIAL_ROWS)
+            writer.write_rows([("open", {"pathname": {"not", "json"}}, 0, 0, 1, "", 0)])
+    decoder = RbtDecoder()
+    assert len(decoder.feed(sink.getvalue())) == 1
+    with pytest.raises(RbtTruncatedError):
+        decoder.end()
 
 
 @pytest.mark.parametrize("feed_size", [1, 3, 7, 100, 4096])
@@ -137,6 +157,36 @@ def test_corrupt_header_json_is_loud(tmp_path):
     blob[offset] = 0xFF
     with pytest.raises(RbtFormatError):
         RbtDecoder().feed(bytes(blob))
+
+
+def test_a_string_argument_past_its_table_is_a_format_error():
+    payload = bytearray(encode_batch([("open", {"pathname": "/a"}, 3, 0, 1, "t", 5)]))
+    table = bytes(payload).rindex(b'["/a"]')
+    # The event's 1-based string id sits just before the table's length.
+    payload[table - 5 : table - 1] = (2).to_bytes(4, "little")
+    with pytest.raises(RbtFormatError):
+        decode_batch(bytes(payload))
+
+
+def test_convert_writes_the_committed_v1_bytes(tmp_path, monkeypatch):
+    """``.rbt`` v1 is pinned: converting the fixture from the same source
+    path string writes the committed golden file byte for byte."""
+    monkeypatch.chdir(REPO_ROOT)
+    dst = tmp_path / "mini.rbt"
+    info = convert_file(MINI_TEXT, str(dst), "lttng")
+    assert (info["events"], info["frames"]) == (120, 1)
+    with open(MINI_RBT, "rb") as handle:
+        assert dst.read_bytes() == handle.read()
+
+
+def test_the_committed_v1_file_reads_as_its_text(monkeypatch):
+    """The golden file counts as the text it was converted from: the
+    same report and the same parse stats."""
+    monkeypatch.chdir(REPO_ROOT)
+    text = IOCov(mount_point="/mnt/test", suite_name="gate").consume_lttng_file(MINI_TEXT)
+    binary = IOCov(mount_point="/mnt/test", suite_name="gate").consume_rbt_file(MINI_RBT)
+    assert binary.report().to_json() == text.report().to_json()
+    assert binary.parse_stats == text.parse_stats
 
 
 def test_convert_records_parse_stats_and_counts(tmp_path):

@@ -146,30 +146,37 @@ def test_live_trace_roundtrip(sc, recorder):
         assert dict(got.args) == dict(want.args)
 
 
-def test_field_memo_hands_out_unaliased_dicts():
+def test_field_memo_hands_out_one_read_only_dict_per_block():
+    """Rows are read-only, so a repeated field block is one dict: the
+    per-line parser, the line-memo path and the full grammar all hand
+    out the field memo's own dict, and counting, writing and encoding
+    the rows leave it as parsed."""
+    from repro.core.analyzer import IOCov
     from repro.trace.batch import LttngBatchParser
+    from repro.trace.binary import encode_batch
 
     writer = LttngWriter()
     event = make_event("write", {"fd": 3, "count": 4096}, 4096, pid=7, timestamp=5)
     entry, _exit = writer.format_event(event)
     parser = LttngParser()
-    first = parser.parse_line(entry)[5]
-    second = parser.parse_line(entry)[5]
-    assert first == second == {"fd": 3, "count": 4096}
-    assert first is not second
-    first["count"] = 0
-    first["extra"] = 1
-    assert second == {"fd": 3, "count": 4096}
-    assert parser.parse_line(entry)[5] == {"fd": 3, "count": 4096}
+    fields = parser.parse_line(entry)[5]
+    assert fields == {"fd": 3, "count": 4096}
+    assert parser.parse_line(entry)[5] is fields
 
-    # The batch memo path hands out read-only rows: the two events of
-    # one template share its args dict, which is not the field memo's.
-    batch = LttngBatchParser()
-    rows = batch.parse_chunk(writer.dumps([event, event]))
-    assert [row[1] for row in rows] == [{"fd": 3, "count": 4096}] * 2
-    assert rows[0][1] is rows[1][1]
-    assert all(rows[0][1] is not fields for fields in batch._parser._field_memo.values())
-    assert batch.parse_chunk(writer.dumps([event]))[0][1] == {"fd": 3, "count": 4096}
+    text = writer.dumps([event, event])
+    for memo in (True, False):
+        batch = LttngBatchParser()
+        if not memo:
+            batch._rests = None
+        rows = batch.parse_chunk(text)
+        [shared] = batch._parser._field_memo.values()
+        assert [row[1] for row in rows] == [{"fd": 3, "count": 4096}] * 2
+        assert all(row[1] is shared for row in rows)
+        IOCov().consume(rows).report()
+        writer.dumps(rows)
+        encode_batch(rows)
+        assert shared == {"fd": 3, "count": 4096}
+        assert batch.parse_chunk(text)[0][1] is shared
 
 
 def test_field_memo_stays_bounded():
