@@ -343,10 +343,11 @@ class IOCov:
     def _consume_text_file(self, path: str, fmt: str) -> "IOCov":
         """Batch-parse a text trace and ingest it chunk by chunk.
 
-        Equal by construction to the per-line readers (the batch
-        parsers fall back to them for any chunk their strict grammars
-        decline), at several times the throughput.  The parser's drop
-        counters land in :attr:`parse_stats`.
+        Equal by construction to the per-line readers: the strace and
+        syzkaller batch parsers run them line by line, and the LTTng
+        one falls back to its per-line parser for any chunk its strict
+        grammar declines.  The parser's drop counters land in
+        :attr:`parse_stats`.
         """
         parser = make_batch_parser(fmt)
         self.filter.reset()

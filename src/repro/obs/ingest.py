@@ -3,16 +3,17 @@
 :class:`IngestSession` is the daemon's engine, kept free of HTTP so the
 failure modes are testable directly:
 
-* **counting in the caller's thread** — each fed chunk of lines or
-  binary frame is journaled, parsed and counted before the feed call
-  returns, so the daemon holds no queue: an HTTP handler reads a
-  request body only as fast as it counts, and a fast client meets TCP
+* **counting in the caller's thread** — each fed chunk of lines is
+  journaled, parsed and counted, and each binary frame decoded,
+  journaled as received and counted, before the feed call returns,
+  so the daemon holds no queue: an HTTP handler reads a request body
+  only as fast as it counts, and a fast client meets TCP
   backpressure;
 * **chunk-mode parsing** — lines arrive as whole chunks and are parsed
   by the session's persistent batch parser
-  (:func:`~repro.trace.batch.make_batch_parser`: the regex fast path,
-  with LTTng entry/exit pairing and syzkaller resource bindings kept
-  across chunks), so a trace streamed in arbitrary network-sized
+  (:func:`~repro.trace.batch.make_batch_parser`, with LTTng entry/exit
+  pairing and syzkaller resource bindings kept across chunks), so a
+  trace streamed in arbitrary network-sized
   pieces counts identically to a one-shot ``repro analyze`` of the
   same bytes — at batch-parse speed;
 * **malformed-line quarantine with an error budget** — grammar-rejected
@@ -44,7 +45,7 @@ from repro.core.analyzer import IOCov
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.store import DEFAULT_PROJECT, DEFAULT_TENANT, BaseRunStore
 from repro.trace.batch import EventBatch, make_batch_parser
-from repro.trace.binary import RbtError, decode_batch, encode_batch
+from repro.trace.binary import RbtError, decode_batch
 
 #: Journal marker for binary batches: one journal "line" per frame,
 #: ``#repro-rbt1:`` + base64 of the frame payload.  The ``#`` prefix
@@ -255,22 +256,25 @@ class IngestSession:
         if lines:
             self.feed_lines(lines)
 
-    def feed_batch(self, batch: EventBatch) -> None:
-        """Journal, then count, one decoded binary frame (``.rbt`` path).
+    def feed_frame(self, payload: bytes) -> None:
+        """Decode, journal, then count one binary frame (``.rbt`` path).
 
-        The frame is journaled as a single :data:`RBT_JOURNAL_PREFIX`
-        line (base64 of its re-encoded payload) so crash recovery
-        replays binary and text input alike, in arrival order.
+        A frame that does not decode raises before it is journaled.
+        The payload is journaled as received, as a single
+        :data:`RBT_JOURNAL_PREFIX` line (base64 of it), so crash
+        recovery replays binary and text input alike, in arrival order.
 
         Raises:
+            RbtError: the payload is not a valid frame.
             SessionDegradedError: the error budget is exhausted.
             RuntimeError: the session was closed.
         """
         self._check_accepting()
+        batch = decode_batch(payload)
         if not len(batch):
             return
         if self.store is not None:
-            blob = base64.b64encode(encode_batch(batch.rows())).decode("ascii")
+            blob = base64.b64encode(payload).decode("ascii")
             self.store.journal_append(
                 self.journal_session, [RBT_JOURNAL_PREFIX + blob], **self._ns
             )

@@ -625,8 +625,8 @@ class ObsRequestHandler(BaseHTTPRequestHandler):
                 if binary:
                     decoder = RbtDecoder()
                     for piece in pieces:
-                        for frame in decoder.feed(piece):
-                            session.feed_batch(frame)
+                        for payload in decoder.frames(piece):
+                            session.feed_frame(payload)
                     decoder.end()
                 else:
                     for piece in pieces:

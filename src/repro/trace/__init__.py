@@ -12,9 +12,11 @@ Capture paths into the IOCov analyzer:
   ``.rbt`` conversion and live ingest all run it, and it reports the
   positions of malformed lines itself;
 * the per-line grammars (:class:`LttngParser`, :class:`StraceParser`,
-  :class:`SyzkallerParser`) are the batch parsers' fallback for chunks
-  their strict regexes decline, and the reference the tests compare
-  every other path against;
+  :class:`SyzkallerParser`) are the reference the tests compare every
+  other path against.  :class:`LttngParser` is the LTTng batch
+  parser's fallback for chunks its strict regexes decline; the strace
+  and syzkaller batch parsers have no grammar of their own and run
+  theirs line by line;
 * binary ``.rbt`` container: :func:`convert_file` (which writes
   through :class:`RbtWriter`), :class:`RbtReader`, :class:`RbtDecoder`
   — parse once, then decode each frame straight to

@@ -1,9 +1,7 @@
-"""Batch trace parsing: chunk-at-a-time instead of line-at-a-time.
+"""Batch trace parsing: a text trace is read a chunk at a time.
 
-The per-line parsers build one :class:`~repro.trace.events.SyscallEvent`
-object per record, which caps text ingest nearly an order of magnitude
-below the analyzer's counting throughput.  This module closes that gap
-by working on **event batches**:
+Each text format has one batch parser, which turns a newline-aligned
+chunk of text into an **event batch**:
 
 * :class:`EventBatch` holds a block of parsed events as compact rows
   (one tuple per event; what the binary ``.rbt`` decoder produces too,
@@ -11,26 +9,34 @@ by working on **event batches**:
   once, plus one template id and one timestamp per event — what the
   LTTng parser's line memo produces).  Both iterate identically, and
   their rows are read-only (:data:`Row`).
-* :class:`LttngBatchParser` / :class:`StraceBatchParser` /
-  :class:`SyzkallerBatchParser` parse whole text chunks with one
+* :class:`LttngBatchParser` parses whole text chunks with one
   multiline ``findall`` over a strict precompiled grammar, falling back
-  to the existing per-line parsers for any chunk that contains lines
-  the strict grammar declines.  The fallback makes every batch parse
-  *equal by construction* to the sequential per-line parse of the same
-  text: the fast path can only decline, never disagree.  A malformed
-  line always sends its chunk down the fallback, which records where
-  the malformed lines were (``malformed_positions``), so callers that
-  quarantine bad input learn the positions from the same single parse.
+  to the per-line :class:`~repro.trace.lttng.LttngParser` for any chunk
+  that contains lines the strict grammar declines.  The fallback makes
+  every batch parse *equal by construction* to the sequential per-line
+  parse of the same text: the fast path can only decline, never
+  disagree.  A malformed line always sends its chunk down the fallback,
+  which records where the malformed lines were (``malformed_positions``),
+  so callers that quarantine bad input learn the positions from the
+  same single parse.
+* :class:`StraceBatchParser` and :class:`SyzkallerBatchParser` have no
+  grammar of their own: each parses a chunk line by line through its
+  format's one grammar (:class:`~repro.trace.strace.StraceParser`,
+  :class:`~repro.trace.syzkaller.SyzkallerParser`), recording
+  ``malformed_positions`` as it goes.
 
 These are the only chunk parsers: every text ingest path
 (``consume_*_file``, ``convert_file``, the live ingest session) runs
 one, and every text path ends a line at ``\n`` only.
 
-Throughput notes: the chunk grammars validate all structure inside the
-regex engine (one C call per chunk), field/argument parsing is memoized
-per parser on the part strings that repeat across a trace
-(``flags = 577``, ``AT_FDCWD``), and each event costs one tuple append
-instead of a :func:`~repro.trace.events.make_event` args copy.
+Throughput notes: the LTTng chunk grammar validates all structure
+inside the regex engine (one C call per chunk), field parsing is
+memoized per parser on the part strings that repeat across a trace
+(``flags = 577``), and each event costs one tuple append instead of a
+:func:`~repro.trace.events.make_event` args copy.  The strace and
+syzkaller parsers memoize each argument token's value per parser
+(``AT_FDCWD``, ``0x42``), and build each event over the args dict they
+fill.
 
 For LTTng, one ``findall`` splits a chunk into units (an entry line with
 the exit line right after it, or any other line) and cuts off each
@@ -45,31 +51,19 @@ and clears when full, and the chunk memo with it; a fill that ends with
 fewer hits than misses (a trace whose lines stop repeating) switches it
 off, and the parser reads the rest of its input with the full grammar,
 one ``findall`` match per event, parsing each repeated field block once
-(see :meth:`~repro.trace.lttng.LttngParser.entry_fields`).  That path,
-the per-line path and the strace and syzkaller parsers hand out rows.
+(see :meth:`~repro.trace.lttng.LttngParser.entry_fields`).  That path
+and the per-line path hand out rows, as the strace and syzkaller
+parsers do.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Any, Iterable, Iterator
 
 from repro.trace.events import CappedMemo, SyscallEvent, event_from_row, split_lines
 from repro.trace.lttng import LttngParser, _REST_RE, _UNIT_RE_M, _WRITER_RE_M, pair_row
-from repro.trace.strace import (
-    _CALL_PATTERN as _STRACE_PATTERN,
-    _CALL_RE as _STRACE_RE,
-    _parse_arg,
-    _split_args,
-    StraceParser,
-    SYSCALL_SIGNATURES,
-)
-from repro.trace.syzkaller import (
-    _CALL_PATTERN as _SYZ_PATTERN,
-    _split_args as _syz_split_args,
-    SyzkallerParser,
-)
-from repro.vfs.errors import ERRNO_BY_NAME
+from repro.trace.strace import StraceParser
+from repro.trace.syzkaller import SyzkallerParser
 
 #: Target text-chunk size for file batch readers (characters).
 DEFAULT_CHUNK_CHARS = 1 << 20
@@ -79,10 +73,6 @@ DEFAULT_CHUNK_CHARS = 1 << 20
 #: LTTng parser's memoized fields across chunks), so no consumer may
 #: change a row's args; one that needs different args builds a new dict.
 Row = tuple  # (name, args, retval, errno, pid, comm, timestamp)
-
-_ROW_FIELDS = ("name", "args", "retval", "errno", "pid", "comm", "timestamp")
-
-_MISS = object()
 
 #: Most decimal tokens (pids, retvals: they repeat heavily) one parser
 #: memoizes.
@@ -530,179 +520,21 @@ class LttngBatchParser:
         return rows
 
 
-def _row_batch(self, chunk: str) -> EventBatch:
-    """:meth:`parse_chunk`'s rows as a batch (strace, syzkaller)."""
-    return EventBatch.from_rows(self.parse_chunk(chunk))
+class _LineBatchParser:
+    """Chunk parsing through a per-line parser, one line at a time.
 
-
-def _per_line_rows(self, lines: Iterable[str]) -> list[Row]:
-    """Per-line fallback of the self-contained formats (strace, syzkaller)."""
-    rows: list[Row] = []
-    bad: list[int] = []
-    parser = self._parser
-    for index, line in enumerate(lines):
-        malformed = parser.malformed_lines
-        event = parser.parse_line(line)
-        if event is not None:
-            rows.append(event)
-        elif parser.malformed_lines != malformed:
-            bad.append(index)
-    self.malformed_positions = bad
-    return rows
-
-
-#: Chunk-mode variants of the per-line grammars.
-_STRACE_RE_M = re.compile("(?m)" + _STRACE_PATTERN)
-_SYZ_RE_M = re.compile("(?m)" + _SYZ_PATTERN)
-
-#: Argument keys the per-line parsers drop (buffer contents are not
-#: coverage-relevant).
-_STRACE_DROP_KEYS = frozenset({"buf", "statbuf", "vec"})
-_SYZ_DROP_KEYS = frozenset({"buf", "vec"})
-
-#: Positional fallback names, preallocated for the common arities.
-_ARGN = tuple(f"arg{i}" for i in range(16))
-
-#: Most strace argument tokens one parser memoizes (flag expressions,
-#: AT_FDCWD, fds and modes repeat; values are immutable).
-_ARG_MEMO_CAP = 16384
-
-#: Tokens in one strace argument list: maximal runs of quoted strings
-#: and non-comma text.  When joining the tokens back with "," exactly
-#: reconstructs the argument text, the token boundaries provably sit at
-#: top-level commas and the fast split equals `_split_args`.
-_STRACE_TOKEN_RE = re.compile(r'(?:"(?:[^"\\]|\\.)*"|[^",])+|"')
-#: Any bracket (opener *or* closer: a stray closer changes the
-#: char-loop splitter's depth) routes to the char-loop splitter.
-_BRACKET_RE = re.compile(r"[()\[\]{}]")
-
-#: Same reconstruction trick for syzkaller, with single-level bracket
-#: groups allowed (pointer arguments carry parens) and escape-aware
-#: quoted strings matching the char-loop splitter's escape handling.
-_SYZ_TOKEN_RE = re.compile(
-    r"(?:'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\""
-    r"|\([^()]*\)|\[[^][]*\]|\{[^{}]*\}|[^,'\"()\[\]{}])+"
-)
-
-
-def _fast_split_strace(text: str) -> list[str]:
-    if not text:
-        return []
-    if _BRACKET_RE.search(text) is None:
-        tokens = _STRACE_TOKEN_RE.findall(text)
-        if ",".join(tokens) == text:
-            return [token.strip() for token in tokens]
-    return _split_args(text)
-
-
-def _fast_split_syz(text: str) -> list[str]:
-    if not text:
-        return []
-    tokens = _SYZ_TOKEN_RE.findall(text)
-    if ",".join(tokens) == text:
-        return [token.strip() for token in tokens]
-    return _syz_split_args(text)
-
-
-class StraceBatchParser:
-    """Chunk-mode strace parsing into :class:`EventBatch` rows."""
-
-    format = "strace"
-
-    def __init__(self) -> None:
-        self._parser = StraceParser()
-        self._ints = CappedMemo(int, _INT_MEMO_CAP)
-        self._args = CappedMemo(_parse_arg, _ARG_MEMO_CAP)
-        #: see :attr:`LttngBatchParser.malformed_positions`
-        self.malformed_positions: list[int] = []
-
-    @property
-    def skipped_lines(self) -> int:
-        return self._parser.skipped_lines
-
-    @property
-    def malformed_lines(self) -> int:
-        return self._parser.malformed_lines
-
-    unpaired_entries = 0
-
-    def stats(self) -> dict[str, Any]:
-        return make_parse_stats(
-            self.format, self.skipped_lines, self.malformed_lines, 0
-        )
-
-    def parse_chunk(self, chunk: str) -> list[Row]:
-        # parse_line short-circuits interrupted-call halves *before*
-        # the grammar, so their presence anywhere sends the chunk down
-        # the per-line path.
-        if "<unfinished ...>" not in chunk and "resumed>" not in chunk:
-            matches = _STRACE_RE_M.findall(chunk)
-            if len(matches) == _line_count(chunk):
-                rows: list[Row] = []
-                build = self._row_from_groups
-                for groups in matches:
-                    row = build(*groups)
-                    if row is not None:
-                        rows.append(row)
-                self.malformed_positions = []
-                return rows
-        return self._consume_lines(split_lines(chunk))
-
-    def parse_lines(self, lines: Iterable[str]) -> list[Row]:
-        return self._consume_lines(lines)
-
-    def _arg_value(self, token: str) -> Any:
-        if token and token[0] == '"' and "\\" not in token:
-            # Truncated-string ellipsis strip without the escape decoder.
-            return token[1 : token.rfind('"')]
-        return self._args[token]
-
-    def _row_from_groups(self, pid_s, ts, name, argstr, ret_s, errname) -> Row | None:
-        if ret_s == "?":
-            self._parser.skipped_lines += 1
-            return None
-        signature = SYSCALL_SIGNATURES.get(name)
-        args: dict[str, Any] = {}
-        arg_value = self._arg_value
-        if signature is None:
-            for index, token in enumerate(_fast_split_strace(argstr)):
-                key = _ARGN[index] if index < 16 else f"arg{index}"
-                args[key] = arg_value(token)
-        else:
-            sig_len = len(signature)
-            for index, token in enumerate(_fast_split_strace(argstr)):
-                if index < sig_len:
-                    key = signature[index]
-                    if key in _STRACE_DROP_KEYS:
-                        continue
-                else:
-                    key = _ARGN[index] if index < 16 else f"arg{index}"
-                args[key] = arg_value(token)
-        retval = self._ints[ret_s]
-        err = 0
-        if retval < 0:
-            err = ERRNO_BY_NAME.get(errname, -retval) if errname else -retval
-            retval = -err
-        pid = self._ints[pid_s] if pid_s else 0
-        return (name, args, retval, err, pid, "", 0)
-
-    _consume_lines = _per_line_rows
-    parse_batch = _row_batch
-    iter_file_batches = LttngBatchParser.iter_file_batches
-
-
-class SyzkallerBatchParser:
-    """Chunk-mode syzkaller program parsing (input-only events).
-
-    Resource bindings are order-dependent, so the chunk fast path
-    replays matches strictly in line order against the same resource
-    table the per-line parser would build.
+    strace and syzkaller lines stand alone (no entry/exit pairing), so
+    a chunk is its lines parsed in order by the format's one grammar,
+    the per-line parser's ``parse_line``, whose state (syzkaller's
+    resource bindings, the argument memo) carries across chunks.
     """
 
-    format = "syzkaller"
+    format: str
+    #: the per-line parser class of the format
+    line_parser: type
 
     def __init__(self) -> None:
-        self._parser = SyzkallerParser()
+        self._parser = self.line_parser()
         #: see :attr:`LttngBatchParser.malformed_positions`
         self.malformed_positions: list[int] = []
 
@@ -721,48 +553,49 @@ class SyzkallerBatchParser:
             self.format, self.skipped_lines, self.malformed_lines, 0
         )
 
+    def parse_batch(self, chunk: str) -> EventBatch:
+        """Parse one newline-aligned text chunk into a batch of rows."""
+        return EventBatch.from_rows(self.parse_chunk(chunk))
+
     def parse_chunk(self, chunk: str) -> list[Row]:
-        # Comments would be stripped by parse_line before matching, so
-        # their presence sends the chunk down the per-line path.
-        if "#" not in chunk:
-            matches = _SYZ_RE_M.findall(chunk)
-            if len(matches) == _line_count(chunk):
-                rows: list[Row] = []
-                build = self._row_from_groups
-                for groups in matches:
-                    rows.append(build(*groups))
-                self.malformed_positions = []
-                return rows
-        return self._consume_lines(split_lines(chunk))
+        """Parse one newline-aligned text chunk into rows."""
+        return self.parse_lines(split_lines(chunk))
 
     def parse_lines(self, lines: Iterable[str]) -> list[Row]:
-        return self._consume_lines(lines)
-
-    def _row_from_groups(self, res, name, argstr) -> Row:
+        """Parse *lines* in order, noting where the malformed ones are."""
+        rows: list[Row] = []
+        append = rows.append
+        bad: list[int] = []
         parser = self._parser
-        resources = parser._resources
-        decode = parser._decode_arg
-        signature = SYSCALL_SIGNATURES.get(name)
-        args: dict[str, Any] = {}
-        sig_len = len(signature) if signature is not None else 0
-        for index, token in enumerate(_fast_split_syz(argstr)):
-            if index < sig_len:
-                key = signature[index]
-                if key in _SYZ_DROP_KEYS:
-                    continue
-            else:
-                key = _ARGN[index] if index < 16 else f"arg{index}"
-            value = resources.get(token, _MISS)
-            if value is _MISS:
-                value = decode(token)
-            args[key] = value
-        if res:
-            resources[res] = 3 + len(resources)
-        return (name, args, 0, 0, 0, "", 0)
+        parse_line = parser.parse_line
+        malformed = parser.malformed_lines
+        for index, line in enumerate(lines):
+            event = parse_line(line)
+            if event is not None:
+                append(event)
+            elif parser.malformed_lines != malformed:
+                malformed = parser.malformed_lines
+                bad.append(index)
+        self.malformed_positions = bad
+        return rows
 
-    _consume_lines = _per_line_rows
-    parse_batch = _row_batch
     iter_file_batches = LttngBatchParser.iter_file_batches
+
+
+class StraceBatchParser(_LineBatchParser):
+    """strace text, chunk at a time, through :class:`StraceParser`."""
+
+    format = "strace"
+    line_parser = StraceParser
+
+
+class SyzkallerBatchParser(_LineBatchParser):
+    """Syzkaller program logs, chunk at a time, through
+    :class:`SyzkallerParser` (input-only events; resource bindings
+    apply in line order across chunks)."""
+
+    format = "syzkaller"
+    line_parser = SyzkallerParser
 
 
 #: format name -> batch parser factory

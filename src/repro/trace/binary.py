@@ -275,6 +275,22 @@ def _take_blob(view: memoryview, pos: int) -> tuple[bytes, int]:
     return bytes(view[pos : pos + length]), pos + length
 
 
+def _load_blob(blob: bytes, what: str) -> Any:
+    """An argument key (*what* is ``"key"``: UTF-8 text) or a JSON
+    table or column (a list) from a frame's bytes.
+
+    Raises :class:`RbtFormatError` for anything else, so a garbled
+    frame fails as every other malformed frame does.
+    """
+    try:
+        value = blob.decode("utf-8") if what == "key" else json.loads(blob)
+    except (ValueError, RecursionError):
+        raise RbtFormatError(f"frame {what} is not valid") from None
+    if not isinstance(value, str if what == "key" else list):
+        raise RbtFormatError(f"frame {what} has the wrong JSON type")
+    return value
+
+
 def _decode_scalar_column(view: memoryview, pos: int, n: int):
     if pos >= len(view):
         raise RbtTruncatedError("frame ends before a scalar column tag")
@@ -286,7 +302,7 @@ def _decode_scalar_column(view: memoryview, pos: int, n: int):
         return _i64_from(view[pos:], n), pos + n * 8
     if tag == 1:
         blob, pos = _take_blob(view, pos)
-        values = json.loads(blob)
+        values = _load_blob(blob, "scalar column")
         if len(values) != n:
             raise RbtFormatError("JSON scalar column length mismatch")
         return values, pos
@@ -299,7 +315,7 @@ def _decode_id_column(view: memoryview, pos: int, n: int):
     ids = _u32_from(view[pos:], n)
     pos += n * 4
     blob, pos = _take_blob(view, pos)
-    table = json.loads(blob)
+    table = _load_blob(blob, "string table")
     try:
         return [table[i] for i in ids], pos
     except IndexError:
@@ -312,7 +328,7 @@ def _decode_arg_columns(view: memoryview, pos: int, argses: list) -> int:
     n_keys, pos = _read_uvarint(view, pos)
     for _ in range(n_keys):
         key_bytes, pos = _take_blob(view, pos)
-        key = key_bytes.decode("utf-8")
+        key = _load_blob(key_bytes, "key")
         if pos >= len(view):
             raise RbtTruncatedError("frame ends before an argument column tag")
         tag = view[pos]
@@ -335,7 +351,7 @@ def _decode_arg_columns(view: memoryview, pos: int, argses: list) -> int:
             presence = _u32_from(view[pos:], n)  # 1-based string ids
             pos += n * 4
             blob, pos = _take_blob(view, pos)
-            table = json.loads(blob)
+            table = _load_blob(blob, "string table")
             if max(presence, default=0) > len(table):
                 raise RbtFormatError("argument column references past the string table")
             values = [table[idx - 1] for idx in presence if idx]
@@ -345,7 +361,7 @@ def _decode_arg_columns(view: memoryview, pos: int, argses: list) -> int:
             presence = bytes(view[pos : pos + n])
             pos += n
             blob, pos = _take_blob(view, pos)
-            values = json.loads(blob)
+            values = _load_blob(blob, "argument column")
             if len(values) != sum(presence):
                 raise RbtFormatError("JSON arg column length mismatch")
         else:
@@ -451,7 +467,8 @@ def encode_stream(
 class RbtDecoder:
     """Incremental ``.rbt`` decoder for network/streamed payloads.
 
-    Feed arbitrary byte pieces; complete frames decode as they arrive.
+    Feed arbitrary byte pieces; complete frames come out as they
+    arrive, as payloads (:meth:`frames`) or decoded (:meth:`feed`).
     ``end()`` validates that the stream terminated cleanly.
     """
 
@@ -459,8 +476,6 @@ class RbtDecoder:
         self._buffer = bytearray()
         self._header: dict[str, Any] | None = None
         self._finished = False
-        self.events_decoded = 0
-        self.frames_decoded = 0
 
     @property
     def header(self) -> dict[str, Any] | None:
@@ -474,16 +489,20 @@ class RbtDecoder:
 
     def feed(self, data: bytes) -> list[EventBatch]:
         """Consume *data*; return the batches completed by it."""
+        return [decode_batch(payload) for payload in self.frames(data)]
+
+    def frames(self, data: bytes) -> list[bytes]:
+        """Consume *data*; return the payloads of the frames it completes."""
         if self._finished and data:
             raise RbtFormatError("bytes after the terminator frame")
         self._buffer += data
-        batches: list[EventBatch] = []
+        payloads: list[bytes] = []
         buf = self._buffer
         pos = 0
         if self._header is None:
             pos = self._try_header()
             if pos < 0:
-                return batches
+                return payloads
             buf = self._buffer
         while True:
             try:
@@ -498,14 +517,11 @@ class RbtDecoder:
                 break
             if after + length > len(buf):
                 break  # incomplete frame: wait for more bytes
-            batch = decode_batch(bytes(buf[after : after + length]))
-            self.events_decoded += len(batch)
-            self.frames_decoded += 1
-            batches.append(batch)
+            payloads.append(bytes(buf[after : after + length]))
             pos = after + length
         if pos:
             del self._buffer[:pos]
-        return batches
+        return payloads
 
     def _try_header(self) -> int:
         """Parse the magic/version/header prefix; -1 if incomplete."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, Iterator
 
-from repro.trace.events import SyscallEvent, make_event, split_lines
+from repro.trace.events import CappedMemo, SyscallEvent, split_lines
 from repro.vfs import constants
 from repro.vfs.errors import ERRNO_BY_NAME
 
@@ -86,17 +86,22 @@ _SYMBOLS["AT_SYMLINK_NOFOLLOW"] = constants.AT_SYMLINK_NOFOLLOW
 _SYMBOLS["AT_EMPTY_PATH"] = constants.AT_EMPTY_PATH
 _SYMBOLS["O_NDELAY"] = constants.O_NDELAY
 
-#: line shape:  name(args) = ret [ERRNO (message)]
-#: (kept as a plain string so the batch parser can recompile it in
-#: multiline chunk mode; group order: pid, ts, name, args, ret, errname)
-_CALL_PATTERN = (
+#: line shape:  [pid P] [timestamp] name(args) = ret [ERRNO (message)]
+_CALL_RE = re.compile(
     r"^(?:\[pid\s+(?P<pid>\d+)\]\s+)?"
     r"(?:(?P<ts>\d+\.\d+|\d+:\d+:\d+\.\d+)\s+)?"
     r"(?P<name>\w+)\((?P<args>.*)\)\s*=\s*"
     r"(?P<ret>-?\d+|\?)"
     r"(?:\s+(?P<errname>E[A-Z0-9]+)\s*(?:\([^)]*\))?)?\s*$"
 )
-_CALL_RE = re.compile(_CALL_PATTERN)
+
+#: Argument keys whose values are dropped: buffer contents are not
+#: coverage-relevant (LTTng records none either).
+_DROP_KEYS = frozenset({"buf", "statbuf", "vec"})
+
+#: Most argument tokens one parser memoizes (flag expressions,
+#: AT_FDCWD, fds and modes repeat; the values are immutable).
+_ARG_MEMO_CAP = 16384
 
 #: Lines that legitimately produce no event (signal/exit annotations,
 #: interrupted-call halves, calls with unknown return) — skipped but
@@ -108,38 +113,37 @@ class StraceParseError(ValueError):
     """A line could not be parsed in strict mode."""
 
 
-def _split_args(text: str) -> list[str]:
-    """Split a strace argument list at top-level commas."""
+def split_args(text: str, quotes: str = '"') -> list[str]:
+    """Split an argument list at its top-level commas.
+
+    A comma inside brackets, or inside a string opened by one of
+    *quotes* (where a backslash escapes the next character), does not
+    split.  Each argument comes out stripped, and a blank last one is
+    dropped.
+    """
     parts: list[str] = []
     depth = 0
-    in_string = False
+    start = 0
+    quote = ""
     escaped = False
-    current: list[str] = []
-    for char in text:
-        if in_string:
-            current.append(char)
+    for index, char in enumerate(text):
+        if quote:
             if escaped:
                 escaped = False
             elif char == "\\":
                 escaped = True
-            elif char == '"':
-                in_string = False
-            continue
-        if char == '"':
-            in_string = True
-            current.append(char)
+            elif char == quote:
+                quote = ""
+        elif char in quotes:
+            quote = char
         elif char in "([{":
             depth += 1
-            current.append(char)
         elif char in ")]}":
             depth -= 1
-            current.append(char)
         elif char == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(char)
-    tail = "".join(current).strip()
+            parts.append(text[start:index].strip())
+            start = index + 1
+    tail = text[start:].strip()
     if tail:
         parts.append(tail)
     return parts
@@ -190,6 +194,8 @@ class StraceParser:
         #: nonblank lines the grammar rejected that are not recognized
         #: noise (signals, interrupted calls) — a subset of skipped.
         self.malformed_lines = 0
+        #: argument token -> :func:`_parse_arg` of it
+        self._args = CappedMemo(_parse_arg, _ARG_MEMO_CAP)
 
     def parse_line(self, line: str) -> SyscallEvent | None:
         """Parse one completed-call line; returns None for noise lines."""
@@ -205,33 +211,29 @@ class StraceParser:
             if not line.startswith(_NOISE_PREFIXES) and not line.endswith("= ?"):
                 self.malformed_lines += 1
             return None
-        name = match["name"]
-        raw_args = _split_args(match["args"])
-        signature = SYSCALL_SIGNATURES.get(name)
-        args: dict[str, Any] = {}
-        for index, token in enumerate(raw_args):
-            if signature and index < len(signature):
-                key = signature[index]
-            else:
-                key = f"arg{index}"
-            args[key] = _parse_arg(token)
-        # Buffer contents are not coverage-relevant; drop them like LTTng.
-        args.pop("buf", None)
-        args.pop("statbuf", None)
-        args.pop("vec", None)
-
-        ret_text = match["ret"]
+        pid_text, name, arg_text, ret_text, errname = match.group(
+            "pid", "name", "args", "ret", "errname"
+        )
         if ret_text == "?":
             self.skipped_lines += 1
             return None
+        signature = SYSCALL_SIGNATURES.get(name, ())
+        values = self._args
+        args: dict[str, Any] = {}
+        for index, token in enumerate(split_args(arg_text)):
+            if index < len(signature):
+                key = signature[index]
+                if key in _DROP_KEYS:
+                    continue
+            else:
+                key = f"arg{index}"
+            args[key] = values[token]
         retval = int(ret_text)
         err = 0
         if retval < 0:
-            errname = match["errname"]
             err = ERRNO_BY_NAME.get(errname, -retval) if errname else -retval
             retval = -err
-        pid = int(match["pid"]) if match["pid"] else 0
-        return make_event(name, args, retval, err, pid=pid)
+        return SyscallEvent(name, args, retval, err, int(pid_text) if pid_text else 0)
 
     def parse(self, lines: Iterable[str]) -> Iterator[SyscallEvent]:
         for line in lines:

@@ -26,14 +26,12 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, Iterator
 
-from repro.trace.events import SyscallEvent, make_event, split_lines
-from repro.trace.strace import SYSCALL_SIGNATURES
+from repro.trace.events import CappedMemo, SyscallEvent, split_lines
+from repro.trace.strace import SYSCALL_SIGNATURES, split_args
 from repro.vfs import constants
 
-#: (kept as a plain string so the batch parser can recompile it in
-#: multiline chunk mode; group order: res, name, args)
-_CALL_PATTERN = r"^(?:(?P<res>r\d+)\s*=\s*)?(?P<name>\w+)\$?\w*\((?P<args>.*)\)\s*$"
-_CALL_RE = re.compile(_CALL_PATTERN)
+#: line shape:  [rN = ]name[$variant](args)
+_CALL_RE = re.compile(r"^(?:(?P<res>r\d+)\s*=\s*)?(?P<name>\w+)\$?\w*\((?P<args>.*)\)\s*$")
 
 #: syzkaller renders AT_FDCWD as the 64-bit two's complement constant.
 _AT_FDCWD_U64 = 0xFFFFFFFFFFFFFF9C
@@ -41,41 +39,58 @@ _AT_FDCWD_U64 = 0xFFFFFFFFFFFFFF9C
 _STRING_PTR_RE = re.compile(r"&\(0x[0-9a-f]+\)\s*=?\s*'(?P<s>[^']*)'")
 _HEXDATA_PTR_RE = re.compile(r'&\(0x[0-9a-f]+\)\s*=?\s*"(?P<h>[0-9a-fA-F]*)"')
 
+#: Argument keys whose values are dropped (buffer contents).
+_DROP_KEYS = frozenset({"buf", "vec"})
+
+#: Most argument tokens one parser memoizes (constants, pointers and
+#: paths repeat across a log's programs; the values are immutable).
+_ARG_MEMO_CAP = 16384
+
+#: The arguments of a call, as maximal runs of quoted strings, bracket
+#: groups holding no bracket or quote, and other text without a comma.
+#: Where the runs joined with "," give back the whole text, each comma
+#: between them is one the character loop splits at.
+_TOKEN_RE = re.compile(
+    r"(?:'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\""
+    r"|\([^()\[\]{}'\"]*\)|\[[^()\[\]{}'\"]*\]|\{[^()\[\]{}'\"]*\}"
+    r"|[^,'\"()\[\]{}])+"
+)
+
 
 def _split_args(text: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    quote: str | None = None
-    current: list[str] = []
-    escaped = False
-    for char in text:
-        if quote:
-            current.append(char)
-            if escaped:
-                escaped = False
-            elif char == "\\":
-                escaped = True
-            elif char == quote:
-                quote = None
-            continue
-        if char in "'\"":
-            quote = char
-            current.append(char)
-        elif char in "([{":
-            depth += 1
-            current.append(char)
-        elif char in ")]}":
-            depth -= 1
-            current.append(char)
-        elif char == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(char)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
-    return parts
+    """Split a syzkaller argument list at top-level commas."""
+    tokens = _TOKEN_RE.findall(text)
+    if ",".join(tokens) != text:
+        return split_args(text, "'\"")
+    tokens = [token.strip() for token in tokens]
+    if tokens and not tokens[-1]:
+        tokens.pop()  # the character loop drops a blank last argument
+    return tokens
+
+
+def _decode_value(token: str) -> Any:
+    """What an argument token that names no bound resource says."""
+    token = token.strip()
+    if not token:
+        return None
+    match = _STRING_PTR_RE.search(token)
+    if match:
+        return match["s"].replace("\\x00", "").replace("\x00", "")
+    match = _HEXDATA_PTR_RE.search(token)
+    if match:
+        # A data buffer: only its length matters for coverage.
+        return len(match["h"]) // 2
+    if token.startswith("&("):
+        return None  # opaque pointer (struct) — not coverage-tracked
+    if token == "nil":
+        return None
+    try:
+        value = int(token, 0)
+    except ValueError:
+        return token
+    if value == _AT_FDCWD_U64:
+        return constants.AT_FDCWD
+    return value
 
 
 class SyzkallerParser:
@@ -89,31 +104,10 @@ class SyzkallerParser:
         self.malformed_lines = 0
         #: resource name (r0) -> placeholder fd value
         self._resources: dict[str, int] = {}
-
-    def _decode_arg(self, token: str) -> Any:
-        token = token.strip()
-        if not token:
-            return None
-        if token in self._resources:
-            return self._resources[token]
-        match = _STRING_PTR_RE.search(token)
-        if match:
-            return match["s"].replace("\\x00", "").replace("\x00", "")
-        match = _HEXDATA_PTR_RE.search(token)
-        if match:
-            # A data buffer: only its length matters for coverage.
-            return len(match["h"]) // 2
-        if token.startswith("&("):
-            return None  # opaque pointer (struct) — not coverage-tracked
-        if token == "nil":
-            return None
-        try:
-            value = int(token, 0)
-        except ValueError:
-            return token
-        if value == _AT_FDCWD_U64:
-            return constants.AT_FDCWD
-        return value
+        #: argument token -> :func:`_decode_value` of it.  A resource
+        #: name is looked up in :attr:`_resources` first, always: ``r1``
+        #: means the string "r1" until a program binds it.
+        self._values = CappedMemo(_decode_value, _ARG_MEMO_CAP)
 
     def parse_line(self, line: str) -> SyscallEvent | None:
         line = line.split("#", 1)[0].strip()
@@ -124,25 +118,25 @@ class SyzkallerParser:
             self.skipped_lines += 1
             self.malformed_lines += 1
             return None
-        name = match["name"]
-        tokens = _split_args(match["args"])
-        signature = SYSCALL_SIGNATURES.get(name)
+        res, name, arg_text = match.group("res", "name", "args")
+        signature = SYSCALL_SIGNATURES.get(name, ())
+        resources = self._resources
+        values = self._values
         args: dict[str, Any] = {}
-        for index, token in enumerate(tokens):
-            key = (
-                signature[index]
-                if signature and index < len(signature)
-                else f"arg{index}"
-            )
-            args[key] = self._decode_arg(token)
-        args.pop("buf", None)
-        args.pop("vec", None)
-        if match["res"]:
+        for index, token in enumerate(_split_args(arg_text)):
+            if index < len(signature):
+                key = signature[index]
+                if key in _DROP_KEYS:
+                    continue
+            else:
+                key = f"arg{index}"
+            fd = resources.get(token)
+            args[key] = values[token] if fd is None else fd
+        if res:
             # The program binds the result to a resource; hand out a
             # deterministic placeholder fd for later references.
-            fd = 3 + len(self._resources)
-            self._resources[match["res"]] = fd
-        return make_event(name, args, 0, 0)
+            resources[res] = 3 + len(resources)
+        return SyscallEvent(name, args, 0, 0)
 
     def parse(self, lines: Iterable[str]) -> Iterator[SyscallEvent]:
         for line in lines:

@@ -14,9 +14,6 @@ from types import MappingProxyType
 
 from repro.core import IOCov
 from repro.core.filter import TraceFilter
-from repro.obs.ingest import IngestSession
-from repro.obs.store import RunStore
-from repro.trace.batch import EventBatch
 from repro.trace.binary import RbtWriter, encode_batch
 from repro.trace.lttng import LttngWriter
 
@@ -67,20 +64,6 @@ def test_the_filter_reads_read_only_args():
     plain, read_only = _both(admit)
     assert plain == read_only
     assert plain[1] == {1: {4, 5}}
-
-
-def test_a_session_journals_and_counts_read_only_args(tmp_path):
-    def feed(rows):
-        store = RunStore(str(tmp_path / f"{len(list(tmp_path.iterdir()))}.sqlite"))
-        try:
-            session = IngestSession("lttng", mount_point=MOUNT, suite_name="ro", store=store)
-            session.feed_batch(EventBatch.from_rows(rows))
-            return session.report().to_json(), list(store.journal_lines("live"))
-        finally:
-            store.close()
-
-    plain, read_only = _both(feed)
-    assert plain == read_only
 
 
 def test_the_writers_read_read_only_args():

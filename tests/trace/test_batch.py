@@ -15,16 +15,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.trace import batch
+from repro.trace import batch, syzkaller
 from repro.trace.batch import (
     EventBatch,
     LttngBatchParser,
     StraceBatchParser,
+    SyzkallerBatchParser,
     make_batch_parser,
 )
 from repro.trace.events import make_event
 from repro.trace.lttng import LttngParser, LttngWriter
 from repro.trace.strace import StraceParser
+from repro.trace.syzkaller import SyzkallerParser
 
 # -- corpora --------------------------------------------------------------------
 
@@ -320,32 +322,42 @@ def test_lttng_interleaved_streams_match_per_line_parser(
 
 def test_strace_fast_path_handles_commas_inside_strings():
     line = 'rename("/mnt/a,b,c", "/mnt/d") = 0'
-    batch_rows = StraceBatchParser().parse_chunk(line + "\n")
     event = StraceParser().parse_line(line)
-    assert batch_rows[0][1] == event.args
-    assert batch_rows[0][1]["oldpath"] == "/mnt/a,b,c"
+    assert event.args == {"oldpath": "/mnt/a,b,c", "newpath": "/mnt/d"}
+    assert StraceBatchParser().parse_chunk(line + "\n") == [event]
+    # Nested brackets and a quoted comma: the syzkaller token split
+    # cannot rejoin this, so the character loop splits it.
+    text = "&(0x7f0000000040)={[0x1, 0x2], 'a,b'}, 0x3, &(0x1)='./f,0\\x00'"
+    assert ",".join(syzkaller._TOKEN_RE.findall(text)) != text
+    assert syzkaller._split_args(text) == [
+        "&(0x7f0000000040)={[0x1, 0x2], 'a,b'}", "0x3", "&(0x1)='./f,0\\x00'",
+    ]
+    event = SyzkallerParser().parse_line(f"syz_op({text})")
+    assert event.args == {"arg0": None, "arg1": 3, "arg2": "./f,0"}
 
 
 def _memos(parser) -> list[dict]:
-    """Every memo a batch parser (and its per-line fallback) owns."""
-    memos = [parser._ints]
-    if isinstance(parser, LttngBatchParser):
-        line_parser = parser._parser
-        memos += [line_parser._field_memo, line_parser._part_memo, line_parser.ts_memo]
-        if parser._rests is not None:
-            # The line memo, until a fill with few hits drops it.
-            memos.append(parser._rests)
-    else:
-        memos.append(parser._args)
+    """Every memo a batch parser (and its per-line parser) owns."""
+    line_parser = parser._parser
+    if isinstance(parser, StraceBatchParser):
+        return [line_parser._args]
+    if isinstance(parser, SyzkallerBatchParser):
+        return [line_parser._values]
+    memos = [parser._ints, line_parser._field_memo, line_parser._part_memo,
+             line_parser.ts_memo]
+    if parser._rests is not None:
+        # The line memo, until a fill with few hits drops it.
+        memos.append(parser._rests)
     return memos
 
 
 def test_memos_belong_to_each_parser_and_stay_capped(monkeypatch):
-    from repro.trace import batch, lttng
+    from repro.trace import batch, lttng, strace
 
     for module, name in ((lttng, "_FIELD_MEMO_CAP"), (lttng, "_PART_MEMO_CAP"),
                          (lttng, "_TS_MEMO_CAP"), (batch, "_INT_MEMO_CAP"),
-                         (batch, "_ARG_MEMO_CAP"), (batch, "_REST_MEMO_CAP")):
+                         (strace, "_ARG_MEMO_CAP"), (syzkaller, "_ARG_MEMO_CAP"),
+                         (batch, "_REST_MEMO_CAP")):
         monkeypatch.setattr(module, name, 8)
     # Every event brings a new pid, second, path, flags value and fd.
     events = [
@@ -357,6 +369,9 @@ def test_memos_belong_to_each_parser_and_stay_capped(monkeypatch):
         "lttng": LttngWriter().dumps(events),
         "strace": "".join(f'[pid {i + 1}] openat(AT_FDCWD, "/mnt/test/f{i}", {i}) = {i + 3}\n'
                           for i in range(40)),
+        "syzkaller": "".join(f"r{i} = openat(0xffffffffffffff9c, "
+                             f"&(0x7f0000000040)='./f{i}\\x00', {hex(i)}, 0x0)\n"
+                             for i in range(40)),
     }
     for fmt, text in texts.items():
         first, second = make_batch_parser(fmt), make_batch_parser(fmt)

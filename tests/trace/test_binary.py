@@ -32,6 +32,7 @@ from repro.trace.binary import (
     read_rbt_events,
     read_rbt_header,
 )
+from repro.trace.binary import _read_uvarint
 from repro.trace.events import make_event
 from repro.trace.lttng import LttngWriter
 
@@ -166,6 +167,32 @@ def test_a_string_argument_past_its_table_is_a_format_error():
     payload[table - 5 : table - 1] = (2).to_bytes(4, "little")
     with pytest.raises(RbtFormatError):
         decode_batch(bytes(payload))
+
+
+#: Same-length edits of the golden file's one frame: its name table
+#: not JSON, an argument key not UTF-8, a JSON object for the table.
+_GARBLES = [
+    (b'["openat"', b'[xopenat"'),
+    (b"\x08pathname", b"\x08\xffathname"),
+    (b'["openat","read","write","dup","sync","close"]',
+     b'{"openat":"read","write":"dup","sync":"close"}'),
+]
+
+
+@pytest.mark.parametrize("old, new", _GARBLES, ids=["table", "key", "object"])
+def test_a_garbled_frame_is_a_format_error(monkeypatch, old, new):
+    monkeypatch.chdir(REPO_ROOT)
+    with open(MINI_RBT, "rb") as handle:
+        data = handle.read()
+    assert data.count(old) == 1
+    data = data.replace(old, new)
+    # The frame: after the magic, the version byte and the header blob.
+    length, pos = _read_uvarint(data, len(MAGIC) + 1)
+    length, pos = _read_uvarint(data, pos + length)
+    with pytest.raises(RbtFormatError):
+        decode_batch(data[pos : pos + length])
+    with pytest.raises(RbtFormatError):
+        RbtDecoder().feed(data)
 
 
 def test_convert_writes_the_committed_v1_bytes(tmp_path, monkeypatch):

@@ -1,8 +1,11 @@
 """Syzkaller program-log parser tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.trace.syzkaller import SyzkallerParser
+from repro.trace.strace import split_args
+from repro.trace.syzkaller import SyzkallerParser, _split_args
 from repro.vfs import constants as C
 
 
@@ -76,3 +79,32 @@ def test_events_feed_input_coverage_only():
     outputs = report.output_frequencies("open")
     assert outputs["OK"] == 1
     assert all(count == 0 for key, count in outputs.items() if key != "OK")
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_a_resource_name_is_text_until_a_program_binds_it(warm):
+    """``r1`` decodes to the string until ``r1 = ...``, then to its fd,
+    whatever the parser's argument memo already holds."""
+    from repro.trace.batch import SyzkallerBatchParser
+
+    log = [
+        "close(r1)",
+        "r0 = openat(0xffffffffffffff9c, &(0x7f0000000040)='./a\\x00', 0x42, 0x1ff)",
+        "r1 = openat(0xffffffffffffff9c, &(0x7f0000000040)='./b\\x00', 0x42, 0x1ff)",
+        "close(r1)",
+        "close(r0)",
+    ]
+    batch_parser = SyzkallerBatchParser()
+    parser = batch_parser._parser
+    if warm:
+        for _ in range(3):
+            assert parser.parse_line("fsync(r1)").args == {"fd": "r1"}
+        assert parser._values["r1"] == "r1"
+    rows = batch_parser.parse_chunk("\n".join(log) + "\n")
+    assert [row[1]["fd"] for row in rows if row[0] == "close"] == ["r1", 4, 3]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="a0x ,'\"\\()[]{}&=", max_size=24))
+def test_the_token_split_splits_where_the_character_loop_does(text):
+    assert _split_args(text) == split_args(text, "'\"")
