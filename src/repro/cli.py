@@ -522,15 +522,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    from repro.trace.binary import convert_file
+    from repro.trace.binary import DEFAULT_FRAME_EVENTS, convert_file
 
     fmt = args.format or _guess_format(args.trace)
     if fmt == "rbt":
         print(f"repro convert: {args.trace} is already a .rbt trace", file=sys.stderr)
         return EXIT_ERROR
-    info = convert_file(
-        args.trace, args.output, fmt, frame_events=args.frame_events
-    )
+    frame_events = DEFAULT_FRAME_EVENTS if args.frame_events is None else args.frame_events
+    info = convert_file(args.trace, args.output, fmt, frame_events=frame_events)
     if args.json:
         payload = dict(info)
         payload["output"] = args.output
@@ -957,9 +956,8 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument(
         "--frame-events",
         type=int,
-        default=8192,
         metavar="N",
-        help="events per .rbt frame (streaming granularity)",
+        help="events per .rbt frame (streaming granularity; default: 2048)",
     )
     convert.add_argument("--json", action="store_true", help="dump JSON")
     convert.set_defaults(handler=cmd_convert)

@@ -46,6 +46,7 @@ would corrupt the journal) rather than failing silently.
 
 from __future__ import annotations
 
+import codecs
 import json
 import os
 import queue
@@ -629,8 +630,12 @@ class ObsRequestHandler(BaseHTTPRequestHandler):
                             session.feed_frame(payload)
                     decoder.end()
                 else:
+                    # One decoder for the whole body: a character split
+                    # between two pieces decodes whole.
+                    decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
                     for piece in pieces:
-                        session.feed_text(piece.decode("utf-8", errors="replace"))
+                        session.feed_text(decoder.decode(piece))
+                    session.feed_text(decoder.decode(b"", final=True))
                     session.end_of_stream()
             # Sync outside feed_lock: the journal fsync covers every
             # append made so far, this request's included, and other

@@ -49,13 +49,16 @@ re-encoding) reads all of a frame's rows.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import sys
+import tempfile
 from array import array
 from itertools import compress
 from typing import Any, BinaryIO, Iterable, Iterator
 
 from repro.trace.batch import (
-    DEFAULT_CHUNK_CHARS,
+    DEFAULT_CHUNK_BYTES,
     EventBatch,
     Row,
     _read_chunks,
@@ -65,8 +68,11 @@ from repro.trace.batch import (
 MAGIC = b"\x89RBT\r\n\x1a\n"
 VERSION = 1
 
-#: Events per frame the writer targets (frames decode independently).
-DEFAULT_FRAME_EVENTS = 8192
+#: Events per frame :func:`convert_file` writes (frames decode
+#: independently).  A reader holds one decoded frame at a time, so the
+#: frame size bounds what reading a ``.rbt`` holds in flight; readers
+#: read frames of any size.
+DEFAULT_FRAME_EVENTS = 2048
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -565,8 +571,9 @@ class RbtReader:
     """Reads an ``.rbt`` file; iterating yields :class:`EventBatch`es."""
 
     #: Bytes per read while streaming frames off disk.  A read smaller
-    #: than a frame (a full 8,192-event frame is ~0.5 MB) completes at
-    #: most one frame, so only the frame being counted holds its rows.
+    #: than a frame (a full 2,048-event frame of the seed-1 xfstests
+    #: trace is 126-206 KB) completes at most one frame, so only the
+    #: frame being counted holds its rows.
     READ_SIZE = 1 << 16
 
     def __init__(self, path: str) -> None:
@@ -625,7 +632,7 @@ def convert_file(
     dst: str,
     fmt: str,
     *,
-    chunk_chars: int = DEFAULT_CHUNK_CHARS,
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     frame_events: int = DEFAULT_FRAME_EVENTS,
     extra_header: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
@@ -633,35 +640,40 @@ def convert_file(
 
     Returns the conversion summary (event/frame counts plus the text
     parser's drop counters, which are also stored in the container
-    header so later analyses can surface them).
+    header so later analyses can surface them).  Holds one text chunk
+    and one frame in memory, whatever the trace's size.
     """
+    if frame_events < 1:
+        raise ValueError(f"frame_events must be at least 1, not {frame_events}")
     parser = make_batch_parser(fmt)
     pending: list[Row] = []
-    events = 0
     # Parse stats are only final once the whole text is read, and they
-    # belong in the header, so frames are staged in memory and written
-    # after it (encoded frames are smaller than the text they replace).
-    frames: list[bytes] = []
-    for chunk in _read_chunks(src, chunk_chars):
-        pending.extend(parser.parse_chunk(chunk))
-        while len(pending) >= frame_events:
-            frames.append(encode_batch(pending[:frame_events]))
-            events += frame_events
-            del pending[:frame_events]
-    if pending:
-        frames.append(encode_batch(pending))
-        events += len(pending)
-    stats = parser.stats()
-    header: dict[str, Any] = {"format": fmt, "source": src}
-    header.update(extra_header or {})
-    header["parse_stats"] = stats
-    header["events"] = events
-    with open(dst, "wb") as sink, RbtWriter(sink, header) as writer:
-        for payload in frames:
-            writer.write_payload(payload)
+    # belong in the header, which comes first.  So each frame is written
+    # as soon as it is encoded, behind a placeholder header, to an
+    # unnamed temporary file beside *dst* (where the output must fit
+    # anyway); after the parse, the real header is written and the
+    # staged frames are copied behind it, 64 KiB at a time.  A
+    # conversion that fails writes no *dst*.
+    with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(dst))) as staged:
+        staging = RbtWriter(staged)
+        frames_start = staged.tell()
+        for chunk in _read_chunks(src, chunk_bytes):
+            pending.extend(parser.parse_chunk(chunk))
+            while len(pending) >= frame_events:
+                staging.write_rows(pending[:frame_events])
+                del pending[:frame_events]
+        staging.write_rows(pending)
+        stats = parser.stats()
+        header: dict[str, Any] = {"format": fmt, "source": src}
+        header.update(extra_header or {})
+        header["parse_stats"] = stats
+        header["events"] = staging.events_written
+        staged.seek(frames_start)
+        with open(dst, "wb") as sink, RbtWriter(sink, header):
+            shutil.copyfileobj(staged, sink, 1 << 16)
     return {
         "format": fmt,
-        "events": events,
-        "frames": writer.frames_written,
+        "events": staging.events_written,
+        "frames": staging.frames_written,
         "parse_stats": stats,
     }

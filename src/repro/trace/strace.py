@@ -95,6 +95,12 @@ _CALL_RE = re.compile(
     r"(?:\s+(?P<errname>E[A-Z0-9]+)\s*(?:\([^)]*\))?)?\s*$"
 )
 
+#: The second half of an interrupted call: ``<... name resumed>``, after
+#: the line's optional pid and timestamp.
+_RESUMED_RE = re.compile(
+    r"(?:\[pid\s+\d+\]\s+)?(?:(?:\d+\.\d+|\d+:\d+:\d+\.\d+)\s+)?<\.\.\. \w+ resumed>"
+)
+
 #: Argument keys whose values are dropped: buffer contents are not
 #: coverage-relevant (LTTng records none either).
 _DROP_KEYS = frozenset({"buf", "statbuf", "vec"})
@@ -200,7 +206,11 @@ class StraceParser:
     def parse_line(self, line: str) -> SyscallEvent | None:
         """Parse one completed-call line; returns None for noise lines."""
         line = line.strip()
-        if not line or line.endswith("<unfinished ...>") or "resumed>" in line:
+        if (
+            not line
+            or line.endswith("<unfinished ...>")
+            or ("resumed>" in line and _RESUMED_RE.match(line))
+        ):
             self.skipped_lines += 1
             return None
         match = _CALL_RE.match(line)

@@ -36,6 +36,10 @@ _CALL_RE = re.compile(r"^(?:(?P<res>r\d+)\s*=\s*)?(?P<name>\w+)\$?\w*\((?P<args>
 #: syzkaller renders AT_FDCWD as the 64-bit two's complement constant.
 _AT_FDCWD_U64 = 0xFFFFFFFFFFFFFF9C
 
+#: The longest start of a line that holds no ``#`` outside a quoted
+#: string; a ``#`` right after it starts the line's comment.
+_CODE_RE = re.compile(r"""(?:[^#'"]+|'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")*""")
+
 _STRING_PTR_RE = re.compile(r"&\(0x[0-9a-f]+\)\s*=?\s*'(?P<s>[^']*)'")
 _HEXDATA_PTR_RE = re.compile(r'&\(0x[0-9a-f]+\)\s*=?\s*"(?P<h>[0-9a-fA-F]*)"')
 
@@ -110,7 +114,11 @@ class SyzkallerParser:
         self._values = CappedMemo(_decode_value, _ARG_MEMO_CAP)
 
     def parse_line(self, line: str) -> SyscallEvent | None:
-        line = line.split("#", 1)[0].strip()
+        line = line.strip()
+        if "#" in line:
+            code = _CODE_RE.match(line).end()
+            if line[code:code + 1] == "#":
+                line = line[:code].rstrip()
         if not line:
             return None
         match = _CALL_RE.match(line)

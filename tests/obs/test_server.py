@@ -7,13 +7,17 @@ import json
 import socket
 import sqlite3
 import threading
+import zlib
 
 import pytest
 
+from repro.core.analyzer import IOCov
 from repro.obs.client import PushError, fetch_json, push_file
 from repro.obs.metrics import validate_exposition
 from repro.obs.server import ObsServer, TenantManager, make_server
 from repro.obs.store import RunStore
+from repro.trace.events import make_event
+from repro.trace.lttng import LttngWriter
 from tests.obs.conftest import MINI_MOUNT
 
 
@@ -94,6 +98,59 @@ def test_chunked_upload_split_mid_line(server, mini_trace, mini_report):
     assert document["new_parse_errors"] == 0
     live = fetch_json(_url(server), "/live")
     assert live == mini_report.to_dict()
+
+
+#: A mount point whose name is not ASCII.
+ACCENTED_MOUNT = "/mnt/tést"
+
+
+@pytest.fixture
+def accented_server():
+    """A running daemon that admits events under :data:`ACCENTED_MOUNT`."""
+    srv, _ = make_server("127.0.0.1", 0, mount_point=ACCENTED_MOUNT, suite_name="mini")
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    yield srv
+    srv.drain_and_stop(snapshot=False)
+    srv.server_close()
+    thread.join(timeout=10)
+
+
+@pytest.mark.parametrize("gzipped", [False, True], ids=["plain", "gzip"])
+def test_a_character_split_between_body_pieces_decodes_whole(
+    accented_server, tmp_path, gzipped
+):
+    """A body cut inside a multibyte character counts as the same bytes
+    read from a file: the character is decoded whole."""
+    events = [make_event("mkdir", {"pathname": f"{ACCENTED_MOUNT}/d{i}", "mode": 0o755}, 0,
+                         pid=1, comm="mk", timestamp=i) for i in range(3)]
+    body = LttngWriter().dumps(events).encode("utf-8")
+    cut = body.index("é".encode("utf-8")) + 1
+    pieces = [body[:cut], body[cut:]]
+    headers = {}
+    if gzipped:
+        # A sync flush after the first piece: it inflates to exactly
+        # the bytes before the cut.
+        compressor = zlib.compressobj(wbits=16 + zlib.MAX_WBITS)
+        pieces = [compressor.compress(pieces[0]) + compressor.flush(zlib.Z_SYNC_FLUSH),
+                  compressor.compress(pieces[1]) + compressor.flush()]
+        assert zlib.decompressobj(16 + zlib.MAX_WBITS).decompress(pieces[0]) == body[:cut]
+        headers["Content-Encoding"] = "gzip"
+    host, port = accented_server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request("POST", "/ingest", body=iter(pieces), headers=headers,
+                     encode_chunked=True)
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["events_counted"] == 3
+    finally:
+        conn.close()
+    src = tmp_path / "mkdirs.lttng.txt"
+    src.write_bytes(body)
+    want = IOCov(mount_point=ACCENTED_MOUNT, suite_name="mini").consume_lttng_file(str(src))
+    assert want.report().events_admitted == 3
+    assert fetch_json(_url(accented_server), "/live") == want.report().to_dict()
 
 
 def test_content_length_upload(server, mini_trace, mini_report):

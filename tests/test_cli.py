@@ -1,6 +1,7 @@
 """CLI tests: every subcommand, both output modes."""
 
 import json
+import os
 
 import pytest
 
@@ -277,6 +278,18 @@ def test_convert_json_envelope(trace_file, tmp_path, capsys):
     assert data["events"] > 0
     assert data["parse_stats"]["format"] == "lttng"
     assert data["output"] == rbt
+
+
+def test_convert_writes_frames_of_the_default_size(tmp_path, monkeypatch, capsys):
+    """Without ``--frame-events``, frames hold ``DEFAULT_FRAME_EVENTS``."""
+    from repro.trace import binary
+
+    monkeypatch.setattr(binary, "DEFAULT_FRAME_EVENTS", 50)
+    rbt = str(tmp_path / "mini.rbt")
+    mini = os.path.join(os.path.dirname(__file__), "fixtures", "mini.lttng.txt")
+    assert main(["convert", mini, rbt, "--json"]) == 0
+    assert envelope(capsys)["frames"] == 3
+    assert [len(batch) for batch in binary.RbtReader(rbt)] == [50, 50, 20]
 
 
 def test_convert_rejects_rbt_input(trace_file, tmp_path, capsys):

@@ -71,6 +71,15 @@ def test_unfinished_and_resumed_skipped(parser):
     assert parser.skipped_lines == 2
 
 
+def test_resumed_in_a_path_is_not_an_interrupted_call(parser):
+    event = parser.parse_line('open("/mnt/test/resumed>", O_RDONLY) = 3')
+    assert event.args["pathname"] == "/mnt/test/resumed>"
+    assert parser.skipped_lines == 0
+    assert parser.parse_line("[pid 42] <... open resumed>) = 3") is None
+    assert parser.parse_line("[pid 42] 1688888888.123456 <... open resumed>) = 3") is None
+    assert (parser.skipped_lines, parser.malformed_lines) == (2, 0)
+
+
 def test_unknown_retval_skipped(parser):
     assert parser.parse_line("exit_group(0) = ?") is None
 

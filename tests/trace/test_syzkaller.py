@@ -46,6 +46,17 @@ def test_comment_and_blank_lines_ignored(parser):
     assert parser.parse_line("   ") is None
 
 
+def test_a_hash_inside_quotes_is_not_a_comment(parser):
+    event = parser.parse_line("mkdir(&(0x7f0000000040)='./#a#\\x00', 0x1ff)")
+    assert event.args["pathname"] == "./#a#"
+    event = parser.parse_line(
+        "mkdir(&(0x7f0000000040)='./#b\\x00', 0x1ff)  # made by 'x' # twice"
+    )
+    assert event.args["pathname"] == "./#b"
+    assert parser.parse_line("  # env: EROFS") is None
+    assert (parser.skipped_lines, parser.malformed_lines) == (0, 0)
+
+
 def test_syscall_variant_suffix_stripped(parser):
     event = parser.parse_line("r1 = openat$dir(0xffffffffffffff9c, &(0x7f00000000c0)='./d\\x00', 0x0, 0x0)")
     assert event.name == "openat"
