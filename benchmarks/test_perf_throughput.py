@@ -330,15 +330,20 @@ def test_pipeline_binary_throughput(pipeline_trace, tmp_path_factory):
         iocov._ingest_rows(rows)
         secs = time.perf_counter() - start
         analyze_secs = secs if analyze_secs is None else min(analyze_secs, secs)
+    analyze_eps = len(rows) / analyze_secs
+    # The reader holds one frame in flight: time it without these.
+    del batches, rows
 
-    end_to_end = IOCov(mount_point="/mnt/test")
-    start = time.perf_counter()
-    end_to_end.consume_rbt_file(rbt_path)
-    end_to_end_secs = time.perf_counter() - start
+    end_to_end_secs = None
+    for _ in range(3):
+        end_to_end = IOCov(mount_point="/mnt/test")
+        start = time.perf_counter()
+        end_to_end.consume_rbt_file(rbt_path)
+        secs = time.perf_counter() - start
+        end_to_end_secs = secs if end_to_end_secs is None else min(end_to_end_secs, secs)
     assert end_to_end.report().to_dict() == iocov.report().to_dict()
 
     decode_eps = decoded / decode_secs
-    analyze_eps = len(rows) / analyze_secs
     record_bench(
         BENCH_FILE,
         "binary",

@@ -322,10 +322,12 @@ class IOCov:
         The entry point for long-running live ingestion (the ``repro
         serve`` daemon): batches arrive over time and the scoping
         filter's fd table must persist across them.  A templated batch
-        takes the template pass, any other the row loop.
+        takes the template pass, which reads no timestamp (so none is
+        converted), any other the row loop.
         """
-        if batch.templated is not None:
-            self._ingest_templates(*batch.templated[:2])
+        counted = batch.template_ids
+        if counted is not None:
+            self._ingest_templates(*counted)
         else:
             self._ingest_rows(batch.iter_rows())
         return self

@@ -8,7 +8,9 @@ chunk of text into an **event batch**:
   see :mod:`repro.trace.binary`) or as templates (each repeated event
   once, plus one template id and one timestamp per event — what the
   LTTng parser's line memo produces).  Both iterate identically, and
-  their rows are read-only (:data:`Row`).
+  their rows are read-only (:data:`Row`).  A templated batch keeps a
+  repeated event's timestamp as the text its line holds and converts
+  it when a row is first read; counting reads none.
 * :class:`LttngBatchParser` parses whole text chunks with one
   multiline ``findall`` over a strict precompiled grammar, falling back
   to the per-line :class:`~repro.trace.lttng.LttngParser` for any chunk
@@ -40,14 +42,17 @@ fill.
 
 For LTTng, one ``findall`` splits a chunk into units (an entry line with
 the exit line right after it, or any other line) and cuts off each
-line's stamp.  What the text after a stamp says is memoized per parser,
-so a line a suite repeats is read once.  An entry followed by its own
-exit bypasses the pairing table, and a chunk memo maps its two rests to
-one template of the chunk's batch, so a repeated event costs a lookup
-and two appends, and shares its template's args with its repeats (most
-events of a test suite's trace repeat one earlier in their chunk in
-everything but the timestamp).  The line memo holds at most 1,024 rests
-and clears when full, and the chunk memo with it; a fill that ends with
+line's stamp.  A line without a valid stamp, a blank one included, is a
+unit too, at which the chunk declines.  What the text after a stamp says
+is memoized per parser, so a line a suite repeats is read once.  An
+entry followed by its own exit bypasses the pairing table, and a chunk
+memo maps its two rests to one template of the chunk's batch, so a
+repeated event costs a lookup and two appends, its stamp kept as text,
+and shares its template's args with its repeats (most events of a test
+suite's trace repeat one earlier in their chunk in everything but the
+timestamp).  An entry that waits in the pairing table converts its stamp
+to nanoseconds as it waits.  The line memo holds at most 1,024 rests and
+clears when full, and the chunk memo with it; a fill that ends with
 fewer hits than misses (a trace whose lines stop repeating) switches it
 off, and the parser reads the rest of its input with the full grammar,
 one ``findall`` match per event, parsing each repeated field block once
@@ -123,14 +128,22 @@ class EventBatch:
       event (:meth:`repro.core.analyzer.IOCov.consume_batch`).
 
     Both forms yield the same rows; rows are read-only (see :data:`Row`).
+
+    A templated batch may hold a stamp as the parser cut it from its
+    line, ``HH:MM:SS.nnnnnnnnn``, with the parser's ``HH:MM:SS`` memo
+    (*ts_ns*) to convert it: the stamps are converted to int
+    nanoseconds once, when :meth:`rows`, :meth:`iter_rows` or
+    :attr:`templated` is first read.  Counting reads
+    :attr:`template_ids` only, so it converts no stamp.
     """
 
-    __slots__ = ("_rows", "templated")
+    __slots__ = ("_rows", "_templated", "_ts_ns")
 
-    def __init__(self, rows=None, templated=None) -> None:
+    def __init__(self, rows=None, templated=None, ts_ns=None) -> None:
         self._rows = rows
-        #: (templates, ids, stamps) of a templated batch, else None.
-        self.templated = templated
+        self._templated = templated
+        #: ``HH:MM:SS`` -> nanoseconds, while text stamps wait to convert.
+        self._ts_ns = ts_ns
 
     # -- constructors --------------------------------------------------------
 
@@ -140,17 +153,37 @@ class EventBatch:
 
     @classmethod
     def from_templates(
-        cls, templates: list[tuple], ids: list[int], stamps: list[int]
+        cls, templates: list[tuple], ids: list[int], stamps: list, ts_ns=None
     ) -> "EventBatch":
         """Templated constructor: row *i* is ``templates[ids[i]] + (stamps[i],)``."""
-        return cls(templated=(templates, ids, stamps))
+        return cls(templated=(templates, ids, stamps), ts_ns=ts_ns)
 
     # -- access --------------------------------------------------------------
 
     def __len__(self) -> int:
         if self._rows is not None:
             return len(self._rows)
-        return len(self.templated[1])
+        return len(self._templated[1])
+
+    @property
+    def templated(self) -> tuple[list[tuple], list[int], list[int]] | None:
+        """(templates, ids, stamps) of a templated batch, else None;
+        converts any stamp still held as text."""
+        ts_ns = self._ts_ns
+        if ts_ns is not None:
+            templates, ids, stamps = self._templated
+            self._templated = templates, ids, [
+                stamp if stamp.__class__ is int else ts_ns[stamp[:8]] + int(stamp[9:])
+                for stamp in stamps
+            ]
+            self._ts_ns = None
+        return self._templated
+
+    @property
+    def template_ids(self) -> tuple[list[tuple], list[int]] | None:
+        """(templates, ids) of a templated batch, else None; converts no stamp."""
+        templated = self._templated
+        return None if templated is None else templated[:2]
 
     def rows(self) -> list[Row]:
         """The batch as row tuples (materialized once for templates)."""
@@ -186,13 +219,6 @@ def _read_chunks(path: str, chunk_bytes: int) -> Iterator[str]:
             if block[-1] != 0x0A:
                 block += handle.readline()
             yield block.decode("utf-8")
-
-
-def _line_count(chunk: str) -> int:
-    lines = chunk.count("\n")
-    if chunk and not chunk.endswith("\n"):
-        lines += 1
-    return lines
 
 
 class LttngBatchParser:
@@ -262,13 +288,12 @@ class LttngBatchParser:
 
         Templated on the memo path, rows on the other two.
         """
-        lines = _line_count(chunk)
         batch = None
         if self._rests is not None:
-            batch = self._consume_units(_UNIT_RE_M.findall(chunk), lines)
+            batch = self._consume_units(_UNIT_RE_M.findall(chunk))
         if batch is None and self._rests is None:
             # The memo is off, or went off in this chunk.
-            rows = self._consume_matches(_WRITER_RE_M.findall(chunk), lines)
+            rows = self._consume_matches(_WRITER_RE_M.findall(chunk))
             if rows is not None:
                 batch = EventBatch.from_rows(rows)
         if batch is None:
@@ -312,17 +337,21 @@ class LttngBatchParser:
             return None
         return (int(epid), ename), ecomm, fields
 
-    def _consume_units(self, units: list[tuple], lines: int) -> EventBatch | None:
+    def _consume_units(self, units: list[tuple]) -> EventBatch | None:
         """Memo path over :data:`_UNIT_RE_M` tuples; None means redo.
 
         A unit whose exit has its entry's ``(pid, name)``, with no older
         entry of that key waiting, is one event of the template its two
         rests say; a chunk memo maps the rests to the template, so a
-        repeated unit costs a lookup and two appends.  Every other line
-        pairs through the pending table, and each row that pairs there
-        is a template of its own.  The chunk memo holds only rests the
-        line memo holds (it clears with it), so hits and misses count as
-        if every unit looked its rests up.  Declines as
+        repeated unit costs a lookup and two appends, and keeps its
+        stamp as text (the batch converts it when a row is read).  Every
+        other line pairs through the pending table, where an entry
+        waits with its stamp in int nanoseconds (the other two paths
+        share the table), and each row that pairs there is a template of
+        its own.  The chunk memo holds only rests the line memo holds (it
+        clears with it), so hits and misses count as if every unit
+        looked its rests up.  Declines at a line without a valid stamp
+        and at a rest the strict grammar declines, as
         :meth:`_consume_matches` does, and when the memo switches off in
         this chunk.
         """
@@ -338,11 +367,10 @@ class LttngBatchParser:
         known_get = known.get
         templates: list[tuple] = []
         ids: list[int] = []
-        stamps: list[int] = []
+        stamps: list = []
         add_id = ids.append
         add_stamp = stamps.append
-        singles = 0
-        for ts, nsf, entry, exit_, line in units:
+        for ts, entry, exit_, line in units:
             if entry:
                 pair = (entry, exit_)
                 template = known_get(pair)
@@ -350,7 +378,7 @@ class LttngBatchParser:
                     if not (pending and pending.get(template[1])):
                         hits += 2
                         add_id(template[0])
-                        add_stamp(ts_ns[ts] + int(nsf))
+                        add_stamp(ts)
                         continue
                 else:
                     said = get(entry)
@@ -363,12 +391,14 @@ class LttngBatchParser:
                             add_id(len(templates))
                             templates.append((key[1], said[2], reply[2], reply[3], key[0],
                                               said[1] or reply[1]))
-                            add_stamp(ts_ns[ts] + int(nsf))
+                            add_stamp(ts)
                             continue
                 unit = pair
-            else:
-                singles += 1
+            elif ts:
                 unit = (line,)
+            else:
+                # A line without a valid stamp.
+                break
             for rest in unit:
                 said = get(rest)
                 if said is not None:
@@ -391,7 +421,7 @@ class LttngBatchParser:
                 queue = pending.get(key)
                 if len(said) == 3:
                     # An entry: it waits for its exit.
-                    record = (ts_ns[ts] + int(nsf), said[1], said[2])
+                    record = (ts_ns[ts[:8]] + int(ts[9:]), said[1], said[2])
                     if queue is None:
                         pending[key] = [record]
                     else:
@@ -409,23 +439,23 @@ class LttngBatchParser:
                 continue
             break
         else:
-            if 2 * len(units) - singles == lines:
-                self._rest_hits = hits
-                return EventBatch.from_templates(templates, ids, stamps)
-        # An unmatched line, a rest the strict grammar declines, or the
+            self._rest_hits = hits
+            return EventBatch.from_templates(templates, ids, stamps, ts_ns)
+        # An unstamped line, a rest the strict grammar declines, or the
         # memo went off: the chunk is parsed again from the start.
         self._rest_hits = hits
         self._pending = snapshot
         self.orphan_exits = orphans_before
         return None
 
-    def _consume_matches(self, matches: list[tuple], lines: int) -> list[Row] | None:
-        """Fast path over findall tuples; None means redo per-line.
+    def _consume_matches(self, matches: list[tuple]) -> list[Row] | None:
+        """Fast path over :data:`_WRITER_RE_M` tuples; None means redo per-line.
 
-        Declines unless the matches cover all *lines* of the chunk (a
-        pair match covers two).  Pairing state mutates as matches are
-        consumed, so the pending table is snapshotted up front and
-        restored on decline.
+        Declines at a line the writer grammar declines (its last
+        alternative's match, every group empty) and at a field block
+        :meth:`~repro.trace.lttng.LttngParser.entry_fields` declines.
+        Pairing state mutates as matches are consumed, so the pending
+        table is snapshotted up front and restored on decline.
         """
         pending = self._pending
         snapshot = {key: list(queue) for key, queue in pending.items()}
@@ -435,7 +465,6 @@ class LttngBatchParser:
         ts_ns = self._parser.ts_memo
         ints = self._ints
         entry_fields = self._parser.entry_fields
-        singles = 0
         for ts, nsf, xname, xcomm, xpid, xret, ename, ecomm, epid, body, pcomm, pret in matches:
             if pret:
                 # An entry and its own exit on the next line.
@@ -454,7 +483,6 @@ class LttngBatchParser:
                 ret = ints[pret]
                 append((ename, fields, ret, -ret if ret < 0 else 0, pid, comm or pcomm, entry_ns))
                 continue
-            singles += 1
             if xname:
                 # Exit line: ret was captured by the grammar.
                 key = (ints[xpid], xname)
@@ -479,7 +507,7 @@ class LttngBatchParser:
                         entry_ns,
                     )
                 )
-            else:
+            elif ename:
                 fields = entry_fields(body)
                 if fields is None:
                     break
@@ -490,10 +518,12 @@ class LttngBatchParser:
                     pending[key] = [entry]
                 else:
                     queue.append(entry)
+            else:
+                # A line the writer grammar declines.
+                break
         else:
-            if 2 * len(matches) - singles == lines:
-                return rows
-        # An unmatched line or an odd field block: the permissive
+            return rows
+        # A declined line or an odd field block: the permissive
         # grammar must decide what this chunk means.
         self._pending = snapshot
         self.orphan_exits = orphans_before

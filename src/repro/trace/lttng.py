@@ -72,12 +72,14 @@ _CONTEXT_KEYS = ("pid", "procname", "cpu_id")
 #: decline.
 #:
 #: ``[HH:MM:SS.nnnnnnnnn] (+d.ddddddddd) ``: the stamp, delta included,
-#: with the second's label and the nanoseconds as ``%s`` holes.
-_STAMP = r"\[%s\.%s\] \(\+[0-9.]+\) "
-#: A stamp whose time is read (groups: HH:MM:SS, nanoseconds) and one
-#: whose time is not (the exit line after an entry).
-_READ_STAMP = _STAMP % (r"(\d\d:\d\d:\d\d)", r"(\d{9})")
-_NEXT_STAMP = _STAMP % (r"\d\d:\d\d:\d\d", r"\d{9}")
+#: with the time as a ``%s`` hole.
+_STAMP = r"\[%s\] \(\+[0-9.]+\) "
+#: A stamp whose time is read (groups: HH:MM:SS, nanoseconds), one
+#: whose time is cut as it is written (group: HH:MM:SS.nnnnnnnnn) and
+#: one whose time is not read (the exit line after an entry).
+_READ_STAMP = _STAMP % r"(\d\d:\d\d:\d\d)\.(\d{9})"
+_CUT_STAMP = _STAMP % r"(\d\d:\d\d:\d\d\.\d{9})"
+_NEXT_STAMP = _STAMP % r"\d\d:\d\d:\d\d\.\d{9}"
 #: The context block and the separator after it, with the pid's
 #: pattern as a ``%s`` hole; group: comm.
 _CONTEXT = r": \{ cpu_id = \d+ \}, \{ procname = \"([^\"\\{}]*)\", pid = %s \}, "
@@ -104,19 +106,26 @@ _OWN_EXIT = r"\n" + _NEXT_STAMP + _EVENT + r"exit_\7" + _CONTEXT % r"\9" + _RET
 #: Chunk-mode grammar for `findall` over whole reads, anchored per
 #: line.  Its pair alternative is an entry followed by its own exit, so
 #: a writer-shaped event costs one match; groups 11 and 12 are empty
-#: for a lone entry or exit.
+#: for a lone entry or exit.  The last alternative matches any line the
+#: writer grammar declines (one without a valid stamp, a blank or
+#: whitespace-only one included) with every group empty, but not the
+#: end of a chunk after its final newline, so `findall` yields one
+#: match per line, a pair's two lines aside.
 _WRITER_RE_M = re.compile(
-    f"(?m)^{_READ_STAMP}{_EVENT}(?:{_WRITER_EXIT}|{_WRITER_ENTRY}(?:{_OWN_EXIT})?)$"
+    f"(?m)^(?:{_READ_STAMP}{_EVENT}(?:{_WRITER_EXIT}|{_WRITER_ENTRY}(?:{_OWN_EXIT})?)|(?!\\Z).*)$"
 )
 
 #: Chunk-mode split into *units* for the line memo of
 #: :class:`~repro.trace.batch.LttngBatchParser`: an entry line with the
-#: exit line right after it, or any other stamped line.  Only the
-#: stamps are checked here; what each rest says is the rest grammar's
-#: to decide.  Groups: 1 ts(HH:MM:SS) 2 ns of the unit's first line |
-#: pair: 3 entry rest 4 exit rest | other: 5 the line's rest.
+#: exit line right after it, or any other line.  Only the stamps are
+#: checked here; what each rest says is the rest grammar's to decide.
+#: Groups: 1 the stamp's time as written (HH:MM:SS.nnnnnnnnn) of the
+#: unit's first line | pair: 2 entry rest 3 exit rest | other: 4 the
+#: line's rest.  The last alternative matches any line without a valid
+#: stamp, a blank or whitespace-only one included, with every group
+#: empty; as in `_WRITER_RE_M`, each line is in exactly one match.
 _UNIT_RE_M = re.compile(
-    rf"(?m)^{_READ_STAMP}(?:({_EVENT}entry_.*)\n{_NEXT_STAMP}({_EVENT}exit_.*)|(.*))$"
+    rf"(?m)^(?:{_CUT_STAMP}(?:({_EVENT}entry_.*)\n{_NEXT_STAMP}({_EVENT}exit_.*)|(.*))|(?!\Z).*)$"
 )
 
 #: Most field blocks one :class:`LttngParser` memoizes before it starts

@@ -21,7 +21,7 @@ from repro.core import IOCov
 from repro.core.filter import AcceptAllFilter, TraceFilter
 from repro.trace.batch import LttngBatchParser
 from repro.trace.events import make_event
-from repro.trace.lttng import LttngWriter
+from repro.trace.lttng import LttngParser, LttngWriter
 
 MOUNT = "/mnt/test"
 
@@ -169,3 +169,53 @@ def test_a_writer_shaped_chunk_is_counted_by_the_template_pass(monkeypatch, tmp_
     monkeypatch.setattr(IOCov, "_ingest_rows",
                         lambda self, rows: pytest.fail("a templated batch went to the row loop"))
     assert IOCov(mount_point=MOUNT).consume_lttng_file(str(path)).report().to_json() == want
+
+
+class _Lookups:
+    """A parser's ``HH:MM:SS`` memo that notes each stamp it converts."""
+
+    def __init__(self, memo, seen):
+        self._memo = memo
+        self._seen = seen
+
+    def __getitem__(self, label):
+        self._seen.append(label)
+        return self._memo[label]
+
+
+def test_counting_converts_only_the_stamps_of_waiting_entries(monkeypatch, tmp_path):
+    """Counting reads no timestamp, so a templated event's stays text.
+
+    Only an entry that waits in the pending table converts its stamp:
+    here each distinct event's first pair (each entry says its exit), as
+    above.  Reading the rows converts the rest, each stamp once.
+    """
+    events = []
+    for i in range(50):
+        for name, args, retval in [
+            ("openat", {"dfd": -100, "pathname": "/mnt/test/f", "flags": 65, "mode": 420}, 3),
+            ("read", {"fd": 3, "count": i % 5}, i % 5),
+            ("close", {"fd": 3}, 0),
+        ]:
+            # Stamps 0.3 s apart: they span many seconds.
+            events.append(make_event(name, args, retval, pid=1 + i % 2,
+                                     timestamp=len(events) * 300_000_007))
+    text = LttngWriter().dumps(events)
+    path = tmp_path / "trace.lttng.txt"
+    path.write_text(text)
+    converted = []
+    init = LttngParser.__init__
+
+    def init_recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.ts_memo = _Lookups(self.ts_memo, converted)
+
+    monkeypatch.setattr(LttngParser, "__init__", init_recording)
+    want = IOCov(mount_point=MOUNT).consume(events).report().to_json()
+    assert IOCov(mount_point=MOUNT).consume_lttng_file(str(path)).report().to_json() == want
+    distinct = {(e.name, tuple(e.args.items()), e.retval, e.pid) for e in events}
+    assert len(converted) == len(distinct) == 14
+    converted.clear()
+    rows = LttngBatchParser().parse_chunk(text)
+    assert [row[-1] for row in rows] == [event.timestamp for event in events]
+    assert len(converted) == len(events)

@@ -429,6 +429,8 @@ def _babeltrace_texts(draw):
     """Writer-like text with delayed exits, dropped lines and noise.
 
     Events draw on a few shapes, so rests repeat and the memo gets hits.
+    Noise lines may be blank or whitespace-only, and the text may end
+    without its final newline.
     """
     processes = {7: draw(_PROCESS), 8: draw(_PROCESS)}
     shapes = draw(st.lists(_SHAPE, min_size=1, max_size=6))
@@ -441,7 +443,8 @@ def _babeltrace_texts(draw):
     for index, (shape, delay) in enumerate(events):
         name, pid, ret, count, zero = shapes[shape % len(shapes)]
         cpu, host, comm = processes[pid]
-        ns = 3_600_000_000_000 + index * 1_234_567
+        # Stamps span seconds, so every digit of the nanoseconds varies.
+        ns = 3_600_000_000_000 + index * 123_456_789
         delta = index * 1_237 % 100_000
         slots.append(((index, 0, index), _babeltrace_line(
             ns, delta, host, "entry", name, cpu, comm, pid, f"fd = 3, count = {count}")))
@@ -452,9 +455,11 @@ def _babeltrace_texts(draw):
     # A dropped entry leaves an orphan exit, a dropped exit a lone entry.
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         del lines[draw(st.integers(min_value=0, max_value=len(lines) - 1))]
-    for extra in draw(st.lists(st.sampled_from(["", "not an lttng line"]), max_size=2)):
+    noise = st.sampled_from(["", " ", "\t", "not an lttng line"])
+    for extra in draw(st.lists(noise, max_size=2)):
         lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), extra)
-    return "".join(line + "\n" for line in lines)
+    text = "".join(line + "\n" for line in lines)
+    return text[:-1] if draw(st.booleans()) else text
 
 
 def _parse_in_cuts(parser, text: str, cuts) -> list:
